@@ -18,6 +18,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .ring import is_projection, verify_mp
+from .scalars import TooLargeError
 
 BRUTE_FORCE_DIM_CAP = 16
 
@@ -33,10 +34,6 @@ class AlgebraParseError(ValueError):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
-
-
-class TooLargeError(ValueError):
-    """An exhaustive scan was requested beyond the desk-scale cap."""
 
 
 class AlgebraElement:

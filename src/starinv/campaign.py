@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -19,84 +20,14 @@ from .algebra import ExhaustiveEngine, enumerate_projections, example26_algebra
 from .generators import EXHAUSTIVE_CELL_CAP, TrialSpec, all_projections_matrix, trial_pair
 from .matrices import MatrixInverseEngine, MatrixRing
 from .ring import ProjectionPairContext
-from .scalars import QI, QQ, PrimeField
-from .theorems import (
-    TheoremVerdict,
-    cor25_battery,
-    cor26_battery,
-    cor28_battery,
-    cor29_chains,
-    lemma21_checks,
-    lemma22_identities,
-    lemma23_identities,
-    lemma210_battery,
-    lemma211_check,
-    lemma212_check,
-    thm24_battery,
-    thm27_check,
-    thm213_check,
-    thm214_check,
-)
-
-THEOREM_IDS = (
-    "lemma21",
-    "lemma22",
-    "lemma23",
-    "thm24",
-    "cor25",
-    "cor26",
-    "thm27",
-    "cor28",
-    "cor29",
-    "lemma210",
-    "lemma211",
-    "lemma212",
-    "thm213",
-    "thm214",
-)
+from .scalars import QI, QQ, Field, PrimeField
+from .theorems import THEOREM_IDS, run_battery
 
 SCHEMA_VERSION = 1
 
 STATUS_PASSED = "passed"
 STATUS_FAILED = "failed"
 STATUS_NOT_APPLICABLE = "not_applicable"
-
-
-def run_battery(theorem: str, ctx: ProjectionPairContext, engine, star_reducing: bool) -> TheoremVerdict:
-    """Dispatch one battery id on one pair.
-
-    The element-level checks (lemma21, lemma212) are applied to the
-    product pq derived from the pair.
-    """
-    if theorem == "lemma21":
-        return lemma21_checks(ctx.p * ctx.q, engine)
-    if theorem == "lemma22":
-        return lemma22_identities(ctx)
-    if theorem == "lemma23":
-        return lemma23_identities(ctx, engine)
-    if theorem == "thm24":
-        return thm24_battery(ctx, engine)
-    if theorem == "cor25":
-        return cor25_battery(ctx, engine, star_reducing)
-    if theorem == "cor26":
-        return cor26_battery(ctx, engine, star_reducing)
-    if theorem == "thm27":
-        return thm27_check(ctx, engine)
-    if theorem == "cor28":
-        return cor28_battery(ctx, engine, star_reducing)
-    if theorem == "cor29":
-        return cor29_chains(ctx, engine, star_reducing)
-    if theorem == "lemma210":
-        return lemma210_battery(ctx, engine, star_reducing)
-    if theorem == "lemma211":
-        return lemma211_check(ctx, engine)
-    if theorem == "lemma212":
-        return lemma212_check(ctx.p * ctx.q, engine)
-    if theorem == "thm213":
-        return thm213_check(ctx, engine, star_reducing)
-    if theorem == "thm214":
-        return thm214_check(ctx, engine, star_reducing)
-    raise ValueError(f"unknown theorem id {theorem!r}")
 
 
 @dataclass(frozen=True)
@@ -236,13 +167,18 @@ class CampaignReport:
         return out.getvalue()
 
 
-def _matrix_ring(ring_id: str, n: int) -> MatrixRing:
+def matrix_field(ring_id: str) -> Field:
+    """The scalar field of a matrix ring id: q, qi or gf:<prime>.
+
+    Raises ValueError for any other id, a composite modulus, or (as
+    TooLargeError) a modulus beyond the cap.
+    """
     if ring_id == "q":
-        return MatrixRing(QQ, n)
+        return QQ
     if ring_id == "qi":
-        return MatrixRing(QI, n)
+        return QI
     if ring_id.startswith("gf:"):
-        return MatrixRing(PrimeField(int(ring_id.split(":", 1)[1])), n)
+        return PrimeField(int(ring_id[len("gf:"):]))
     raise ValueError(f"unknown ring id {ring_id!r}")
 
 
@@ -251,53 +187,43 @@ def parse_ring_id(ring_id: str) -> str:
 
     Accepted: q, qi, gf:<prime>, example26.
     """
-    if ring_id in ("q", "qi", "example26"):
-        return ring_id
-    if ring_id.startswith("gf:"):
-        PrimeField(int(ring_id.split(":", 1)[1]))  # validates primality
-        return ring_id
-    raise ValueError(f"unknown ring id {ring_id!r}")
+    if ring_id != "example26":
+        matrix_field(ring_id)
+    return ring_id
+
+
+def check_theorem_ids(theorems) -> None:
+    """Raise ValueError unless every id is a known battery, listed once."""
+    for theorem in theorems:
+        if theorem not in THEOREM_IDS:
+            raise ValueError(f"unknown theorem id {theorem!r}")
+    duplicates = sorted({t for t in theorems if theorems.count(t) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate theorem ids: {', '.join(duplicates)}")
+
+
+def _sweep(config: CampaignConfig, n: int, projections):
+    """Every ordered pair of projections, with its trial spec."""
+    for index, (p, q) in enumerate(itertools.product(projections, repeat=2)):
+        yield TrialSpec(config.ring, n, None, None, config.seed, index), p, q
 
 
 def _pair_stream(config: CampaignConfig):
-    """Yield (spec, p, q) trials plus the engine and reducing flag."""
+    """The engine, its reducing flag, and the (spec, p, q) trials."""
     if config.ring == "example26":
         algebra = example26_algebra()
         engine = ExhaustiveEngine(algebra)
-        projections = enumerate_projections(algebra)
+        pairs = _sweep(config, algebra.dim, enumerate_projections(algebra))
+        return engine, engine.star_reducing, pairs
 
-        def pairs():
-            index = 0
-            for p in projections:
-                for q in projections:
-                    spec = TrialSpec(config.ring, algebra.dim, None, None, config.seed, index)
-                    yield spec, p, q
-                    index += 1
-
-        return engine, engine.star_reducing, pairs()
-
-    ring = _matrix_ring(config.ring, config.n)
+    ring = MatrixRing(matrix_field(config.ring), config.n)
     engine = MatrixInverseEngine(ring)
     size = ring.field.size
     if size is not None and size ** (config.n * config.n) <= EXHAUSTIVE_CELL_CAP:
-        projections = all_projections_matrix(config.n, ring.field)
-
-        def pairs():
-            index = 0
-            for p in projections:
-                for q in projections:
-                    spec = TrialSpec(config.ring, config.n, None, None, config.seed, index)
-                    yield spec, p, q
-                    index += 1
-
-        return engine, engine.star_reducing, pairs()
-
-    def pairs():
-        for trial in range(config.trials):
-            spec, p, q = trial_pair(ring, config.seed, trial)
-            yield spec, p, q
-
-    return engine, engine.star_reducing, pairs()
+        pairs = _sweep(config, config.n, all_projections_matrix(config.n, ring.field))
+    else:
+        pairs = (trial_pair(ring, config.seed, trial) for trial in range(config.trials))
+    return engine, engine.star_reducing, pairs
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
@@ -306,9 +232,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     Exhaustive instances (example26, small prime-field rings) ignore the
     trial count and sweep every projection pair.
     """
-    for theorem in config.theorems:
-        if theorem not in THEOREM_IDS:
-            raise ValueError(f"unknown theorem id {theorem!r}")
+    check_theorem_ids(config.theorems)
     started = time.monotonic()
     engine, star_reducing, pairs = _pair_stream(config)
     records: list[TrialRecord] = []

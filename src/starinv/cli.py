@@ -21,6 +21,8 @@ from .algebra import brute_force_mp, enumerate_projections, example26_algebra
 from .campaign import (
     THEOREM_IDS,
     CampaignConfig,
+    check_theorem_ids,
+    matrix_field,
     parse_ring_id,
     run_campaign,
 )
@@ -37,7 +39,6 @@ from .matrices import (
     parse_matrix,
 )
 from .ring import is_projection, verify_mp
-from .scalars import PrimeField
 
 
 def counterexample_evidence() -> dict:
@@ -129,18 +130,25 @@ def _write_output(text: str, path: str | None):
             handle.write(text)
 
 
-def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _parse_ring(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
     try:
-        ring = parse_ring_id(args.ring)
-    except (ValueError, TypeError):
-        parser.error(f"invalid ring id {args.ring!r}")
+        return parse_ring_id(args.ring)
+    except (ValueError, TypeError) as exc:
+        parser.error(f"invalid ring id {args.ring!r}: {exc}")
+
+
+def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    ring = _parse_ring(args, parser)
     if args.theorems == "all":
         theorems = THEOREM_IDS
     else:
         theorems = tuple(t.strip() for t in args.theorems.split(",") if t.strip())
-        unknown = [t for t in theorems if t not in THEOREM_IDS]
-        if unknown or not theorems:
-            parser.error(f"unknown theorem ids: {', '.join(unknown) or '(none given)'}")
+        if not theorems:
+            parser.error("no theorem ids given")
+        try:
+            check_theorem_ids(theorems)
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.n < 1:
         parser.error("--n must be positive")
     if args.trials < 1:
@@ -201,10 +209,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        ring = parse_ring_id(args.ring)
-    except (ValueError, TypeError):
-        parser.error(f"invalid ring id {args.ring!r}")
+    ring = _parse_ring(args, parser)
     if ring in ("q", "qi"):
         parser.error("enumerate requires a finite ring (example26 or gf:<p>)")
 
@@ -218,8 +223,7 @@ def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             sys.stdout.write(algebra.format_element(element) + "\n")
         return 0
 
-    p = int(ring.split(":", 1)[1])
-    matrix_ring = MatrixRing(PrimeField(p), args.n)
+    matrix_ring = MatrixRing(matrix_field(ring), args.n)
     try:
         projections = all_projections_matrix(args.n, matrix_ring.field)
     except TooLargeError as exc:

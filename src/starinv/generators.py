@@ -13,7 +13,14 @@ from fractions import Fraction
 
 from .matrices import ExactMatrix, MatrixRing, inverse
 from .ring import is_projection
-from .scalars import Field, GaussianRational, GaussianRationalField, PrimeField, RationalField
+from .scalars import (
+    Field,
+    GaussianRational,
+    GaussianRationalField,
+    PrimeField,
+    RationalField,
+    TooLargeError,
+)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -28,10 +35,6 @@ ENTRY_HI = 3
 
 class GenerationFailedError(RuntimeError):
     """Projection sampling exhausted its retry budget."""
-
-
-class TooLargeError(ValueError):
-    """An exhaustive enumeration was requested beyond the cap."""
 
 
 def mix64(value: int) -> int:

@@ -14,6 +14,16 @@ from fractions import Fraction
 
 _RATIONAL_TOKEN = re.compile(r"^-?\d+(?:/\d+)?$")
 
+# Largest accepted GF(p) modulus.  Primality is decided by trial
+# division and isotropic_vector tabulates all p squares, so both stay
+# desk-sized below this.
+MODULUS_CAP = 1 << 20
+
+
+class TooLargeError(ValueError):
+    """An input is beyond a desk-scale cap: a GF(p) modulus, an
+    exhaustive matrix enumeration, or a brute-force algebra scan."""
+
 
 def is_prime(n: int) -> bool:
     """Trial-division primality check; moduli used here are small."""
@@ -232,6 +242,8 @@ class PrimeField(Field):
     p: int
 
     def __post_init__(self):
+        if self.p > MODULUS_CAP:
+            raise TooLargeError(f"modulus {self.p} exceeds the {MODULUS_CAP} cap")
         if not is_prime(self.p):
             raise ValueError(f"modulus must be prime, got {self.p}")
         object.__setattr__(self, "label", f"GF {self.p}")

@@ -1,16 +1,21 @@
 """Identity checkers, formula constructors, and existence batteries.
 
-Each battery takes a projection-pair context plus an inverse engine for
-the concrete ring instance and returns a structured verdict.  Existence
-decisions always come from the engine, never from the statement being
-checked, and every constructed formula is certified against the
-defining equations before a verdict says it passed.  Batteries that are
-only claimed for *-reducing instances return an inapplicable verdict
-elsewhere instead of guessing.
+Each battery takes a projection-pair context (or, for the element-level
+checks, one element) plus an inverse engine for the concrete ring
+instance and returns a structured verdict.  Existence decisions always
+come from the engine, never from the statement being checked, and every
+constructed formula is certified against the defining equations before
+a verdict says it passed.
+
+BATTERIES is the one table of battery ids, in paper order.
+``run_battery`` dispatches through it and applies the *-reducing gate:
+batteries only claimed for *-reducing instances return an inapplicable
+verdict elsewhere instead of guessing.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .ring import (
     InvalidWitnessError,
@@ -184,9 +189,14 @@ def lemma21_checks(r, engine: InverseEngine) -> TheoremVerdict:
     return v.build(applicable=True)
 
 
-def lemma22_identities(ctx: ProjectionPairContext) -> TheoremVerdict:
+def lemma22_identities(
+    ctx: ProjectionPairContext, engine: InverseEngine | None = None
+) -> TheoremVerdict:
     """Unconditional quadratic identities of the derived elements:
-    bb* = (p-a)-(p-a)^2, b*b = d-d^2, db* = b*(p-a)."""
+    bb* = (p-a)-(p-a)^2, b*b = d-d^2, db* = b*(p-a).
+
+    No inverse is needed; the engine is accepted only so that every
+    battery in BATTERIES is called the same way."""
     v = _Verdict("lemma22")
     p_minus_a = ctx.p - ctx.a
     b, b_star, d = ctx.b, ctx.b.star(), ctx.d
@@ -297,16 +307,9 @@ def thm24_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremV
     of (1-pqp)^dag gives (p-pqp)^dag, adding 1-p goes back, and the
     explicit formula and corner extraction round-trip through 1-pq.
     """
-    p, q, one = ctx.p, ctx.q, ctx.one
-    pq, qp = p * q, q * p
-    profile = existence_profile(engine, {
-        "1-pq": one - pq,
-        "1-pqp": one - pq * p,
-        "p-pqp": p - pq * p,
-        "1-qp": one - qp,
-        "1-qpq": one - qp * q,
-        "q-qpq": q - qp * q,
-    })
+    p = ctx.p
+    elements = _pair_elements(ctx)
+    profile = existence_profile(engine, {name: elements[name] for name in _THM24_NAMES})
     v = _Verdict("thm24", _pair_payload(ctx, engine))
     v.check("existence_flags_agree", profile.all_agree())
     if profile.all_exist():
@@ -314,12 +317,12 @@ def thm24_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremV
         dag_ppqp = profile.witness("p-pqp")
         dag_1pq = profile.witness("1-pq")
         v.check("corner_of_shifted_dagger", dag_ppqp == p * dag_1pqp)
-        v.check("dagger_shift_identity", dag_1pqp == dag_ppqp + one - p)
+        v.check("dagger_shift_identity", dag_1pqp == dag_ppqp + ctx.one - p)
         x = eq215_formula(ctx, dag_ppqp)
-        v.check("explicit_formula_certified", verify_mp(one - pq, x).all)
+        v.check("explicit_formula_certified", verify_mp(elements["1-pq"], x).all)
         v.check("explicit_formula_unique", x == dag_1pq)
         y = pxp_extraction(ctx, dag_1pq)
-        v.check("corner_extraction_certified", verify_mp(p - pq * p, y).all)
+        v.check("corner_extraction_certified", verify_mp(elements["p-pqp"], y).all)
         v.check("corner_extraction_unique", y == dag_ppqp)
     else:
         for name in ("corner_of_shifted_dagger", "dagger_shift_identity",
@@ -329,11 +332,11 @@ def thm24_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremV
     return v.build(applicable=True)
 
 
-_COR25_NAMES = ("1-pq", "1-pqp", "p-pqp", "p-pq", "p-qp",
-                "1-qp", "1-qpq", "q-qpq", "q-qp", "q-pq")
+_THM24_NAMES = ("1-pq", "1-pqp", "p-pqp", "1-qp", "1-qpq", "q-qpq")
 
 
-def _cor25_elements(ctx: ProjectionPairContext) -> dict:
+def _pair_elements(ctx: ProjectionPairContext) -> dict:
+    """The ten elements of cor25; thm24 uses the six in _THM24_NAMES."""
     p, q, one = ctx.p, ctx.q, ctx.one
     pq, qp = p * q, q * p
     return {
@@ -350,14 +353,10 @@ def _cor25_elements(ctx: ProjectionPairContext) -> dict:
     }
 
 
-def cor25_battery(
-    ctx: ProjectionPairContext, engine: InverseEngine, ring_is_star_reducing: bool
-) -> TheoremVerdict:
+def cor25_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVerdict:
     """Ten equivalent existence conditions on a *-reducing instance,
     with (p-pqp)^dag = (1-pq)^dag p when they hold."""
-    if not ring_is_star_reducing:
-        return _not_applicable("cor25")
-    profile = existence_profile(engine, _cor25_elements(ctx))
+    profile = existence_profile(engine, _pair_elements(ctx))
     v = _Verdict("cor25", _pair_payload(ctx, engine))
     v.check("existence_flags_agree", profile.all_agree())
     if profile.all_exist():
@@ -368,21 +367,17 @@ def cor25_battery(
     return v.build(applicable=True)
 
 
-def cor26_battery(
-    ctx: ProjectionPairContext, engine: InverseEngine, ring_is_star_reducing: bool
-) -> TheoremVerdict:
+def cor26_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVerdict:
     """The complementary-pair version of the ten conditions.
 
     Realized twice: by direct evaluation of the listed elements and by
     substituting (1-p, 1-q) into the cor25 machinery; the two routes
     must agree element by element and flag by flag.
     """
-    if not ring_is_star_reducing:
-        return _not_applicable("cor26")
     p, q = ctx.p, ctx.q
     p_bar, q_bar = ctx.p_bar, ctx.q_bar
     pq, qp = p * q, q * p
-    # Listed in the order matching _COR25_NAMES under (p,q) -> (1-p, 1-q).
+    # Listed in the order matching _pair_elements under (p,q) -> (1-p, 1-q).
     direct = {
         "p+q-pq": p + q - pq,
         "p+(1-p)q(1-p)": p + p_bar * q * p_bar,
@@ -395,10 +390,10 @@ def cor26_battery(
         "p-qp": p - qp,
         "p-pq": p - pq,
     }
-    sub = _cor25_elements(ctx.complemented())
+    sub = _pair_elements(ctx.complemented())
     v = _Verdict("cor26", _pair_payload(ctx, engine))
     v.check("substitution_route_matches_elements",
-            all(direct[d] == sub[s] for d, s in zip(direct, _COR25_NAMES)))
+            all(d == s for d, s in zip(direct.values(), sub.values())))
     profile = existence_profile(engine, direct)
     sub_profile = existence_profile(engine, sub)
     v.check("substitution_route_matches_flags", profile.flags() == sub_profile.flags())
@@ -425,12 +420,8 @@ def thm27_check(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVer
     return v.build(applicable=True)
 
 
-def cor28_battery(
-    ctx: ProjectionPairContext, engine: InverseEngine, ring_is_star_reducing: bool
-) -> TheoremVerdict:
+def cor28_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVerdict:
     """On *-reducing instances, p(1-q), p-q and (1-p)q stand together."""
-    if not ring_is_star_reducing:
-        return _not_applicable("cor28")
     profile = existence_profile(engine, {
         "p(1-q)": ctx.p * ctx.q_bar,
         "p-q": ctx.p - ctx.q,
@@ -445,13 +436,9 @@ def _all_equal(values: list) -> bool:
     return all(value == values[0] for value in values[1:])
 
 
-def cor29_chains(
-    ctx: ProjectionPairContext, engine: InverseEngine, ring_is_star_reducing: bool
-) -> TheoremVerdict:
+def cor29_chains(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVerdict:
     """Six expressions collapse to p (p-q)^dag p, and eight to the
     complementary form, once any of the equivalent conditions holds."""
-    if not ring_is_star_reducing:
-        return _not_applicable("cor29")
     if engine.mp(ctx.p * ctx.q_bar) is None:
         return _not_applicable("cor29")
     p, q, one = ctx.p, ctx.q, ctx.one
@@ -510,12 +497,8 @@ def cor29_chains(
     return v.build(applicable=True)
 
 
-def lemma210_battery(
-    ctx: ProjectionPairContext, engine: InverseEngine, ring_is_star_reducing: bool
-) -> TheoremVerdict:
+def lemma210_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVerdict:
     """On *-reducing instances, (1-p)(1-q), 1-p-q and pq stand together."""
-    if not ring_is_star_reducing:
-        return _not_applicable("lemma210")
     profile = existence_profile(engine, {
         "(1-p)(1-q)": ctx.p_bar * ctx.q_bar,
         "1-p-q": ctx.one - ctx.p - ctx.q,
@@ -575,15 +558,11 @@ def lemma212_check(r, engine: InverseEngine) -> TheoremVerdict:
     return v.build()
 
 
-def thm213_check(
-    ctx: ProjectionPairContext, engine: InverseEngine, ring_is_star_reducing: bool
-) -> TheoremVerdict:
+def thm213_check(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVerdict:
     """The commutator pq - qp is MP invertible exactly when pq and
     p - q both are (on *-reducing instances).  No closed form for the
     commutator's dagger is constructed; existence on both sides comes
     from the engine."""
-    if not ring_is_star_reducing:
-        return _not_applicable("thm213")
     v = _Verdict("thm213", _pair_payload(ctx, engine))
     pq, qp = ctx.p * ctx.q, ctx.q * ctx.p
     commutator_dag = engine.mp(pq - qp)
@@ -599,14 +578,10 @@ def thm213_check(
     return v.build(applicable=True)
 
 
-def thm214_check(
-    ctx: ProjectionPairContext, engine: InverseEngine, ring_is_star_reducing: bool
-) -> TheoremVerdict:
+def thm214_check(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVerdict:
     """The anti-commutator pq + qp is MP invertible exactly when p + q
     and pq both are (on *-reducing instances); its dagger is then the
     certified product (p+q)^dag (p+q-1)^dag."""
-    if not ring_is_star_reducing:
-        return _not_applicable("thm214")
     v = _Verdict("thm214", _pair_payload(ctx, engine))
     p, q, one = ctx.p, ctx.q, ctx.one
     anti = p * q + q * p
@@ -629,3 +604,48 @@ def thm214_check(
                      "anticommutator_formula_unique"):
             v.na(name)
     return v.build(applicable=True)
+
+
+class Battery(NamedTuple):
+    fn: Callable[..., TheoremVerdict]
+    needs_star_reducing: bool
+    element_level: bool  # applied to r = pq rather than to the pair
+
+
+# The paper's checks, in paper order; README's check-id table holds the
+# same ids and *-reducing flags, and a test keeps the two in step.
+BATTERIES = {
+    "lemma21": Battery(lemma21_checks, False, True),
+    "lemma22": Battery(lemma22_identities, False, False),
+    "lemma23": Battery(lemma23_identities, False, False),
+    "thm24": Battery(thm24_battery, False, False),
+    "cor25": Battery(cor25_battery, True, False),
+    "cor26": Battery(cor26_battery, True, False),
+    "thm27": Battery(thm27_check, False, False),
+    "cor28": Battery(cor28_battery, True, False),
+    "cor29": Battery(cor29_chains, True, False),
+    "lemma210": Battery(lemma210_battery, True, False),
+    "lemma211": Battery(lemma211_check, False, False),
+    "lemma212": Battery(lemma212_check, False, True),
+    "thm213": Battery(thm213_check, True, False),
+    "thm214": Battery(thm214_check, True, False),
+}
+
+THEOREM_IDS = tuple(BATTERIES)
+
+
+def run_battery(
+    theorem: str, ctx: ProjectionPairContext, engine: InverseEngine, star_reducing: bool
+) -> TheoremVerdict:
+    """Run one battery id on one pair.
+
+    Batteries that need a *-reducing instance are not applicable when
+    ``star_reducing`` is false.  The element-level checks (lemma21,
+    lemma212) are applied to the product pq derived from the pair.
+    """
+    if theorem not in BATTERIES:
+        raise ValueError(f"unknown theorem id {theorem!r}")
+    fn, needs_star_reducing, element_level = BATTERIES[theorem]
+    if needs_star_reducing and not star_reducing:
+        return _not_applicable(theorem)
+    return fn(ctx.p * ctx.q if element_level else ctx, engine)

@@ -156,7 +156,7 @@ def test_c06_chain_equalities(q_setup, qi_setup):
     with criterion(6, "all chain expressions pairwise equal on applicable trials"):
         applied = 0
         for engine, ctx in both_trial_sets(q_setup, qi_setup):
-            verdict = cor29_chains(ctx, engine, True)
+            verdict = cor29_chains(ctx, engine)
             assert verdict.applicable
             assert verdict.passed, verdict.failing_checks()
             statuses = {c.name: c.status for c in verdict.checks}
@@ -169,9 +169,9 @@ def test_c06_chain_equalities(q_setup, qi_setup):
 def test_c07_commutator_anticommutator(q_setup, qi_setup):
     with criterion(7, "commutator and anticommutator characterizations"):
         for engine, ctx in both_trial_sets(q_setup, qi_setup):
-            v213 = thm213_check(ctx, engine, True)
+            v213 = thm213_check(ctx, engine)
             assert v213.passed, v213.failing_checks()
-            v214 = thm214_check(ctx, engine, True)
+            v214 = thm214_check(ctx, engine)
             assert v214.passed, v214.failing_checks()
 
         # The reducing hypothesis holds for 2x2 matrices over GF(3), so
@@ -183,8 +183,8 @@ def test_c07_commutator_anticommutator(q_setup, qi_setup):
         for p in gf3projections:
             for q in gf3projections:
                 ctx = ProjectionPairContext(p, q)
-                assert thm213_check(ctx, gf3engine, True).passed
-                assert thm214_check(ctx, gf3engine, True).passed
+                assert thm213_check(ctx, gf3engine).passed
+                assert thm214_check(ctx, gf3engine).passed
 
         # The product formula and the square-dagger identity do not
         # need the reducing hypothesis: exercise them exhaustively on

@@ -1,5 +1,6 @@
 """Campaign aggregation, report serialization, and determinism."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,10 @@ from starinv.campaign import (
     parse_ring_id,
     run_campaign,
 )
+from starinv.scalars import TooLargeError
+from starinv.theorems import BATTERIES
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def strip_duration(report):
@@ -21,11 +26,24 @@ def test_theorem_id_list():
     assert THEOREM_IDS[0] == "lemma21" and THEOREM_IDS[-1] == "thm214"
 
 
+def test_readme_check_ids_match_registry():
+    text = README.read_text(encoding="utf-8").split("### Check ids", 1)[1]
+    rows = text.split("\n\n", 2)[1].splitlines()[2:]  # skip header and rule
+    cells = [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+    assert tuple(row[0] for row in cells) == THEOREM_IDS
+    needs = {"yes": True, "no": False, "partly": False}
+    for theorem, _, gate in cells:
+        assert needs[gate] == BATTERIES[theorem].needs_star_reducing, theorem
+
+
 def test_parse_ring_id():
     for ring in ("q", "qi", "gf:2", "gf:13", "example26"):
         assert parse_ring_id(ring) == ring
     with pytest.raises(ValueError):
         parse_ring_id("gf:4")
+    for huge in ("gf:1000000007", "gf:1000000000000000003"):
+        with pytest.raises(TooLargeError):
+            parse_ring_id(huge)
     with pytest.raises(ValueError):
         parse_ring_id("zz")
 
@@ -45,6 +63,8 @@ def test_random_campaign_aggregates():
 def test_unknown_theorem_rejected():
     with pytest.raises(ValueError):
         run_campaign(CampaignConfig(ring="q", theorems=("nope",)))
+    with pytest.raises(ValueError, match="duplicate"):
+        run_campaign(CampaignConfig(ring="q", n=2, trials=2, theorems=("thm24", "thm24")))
 
 
 def test_example26_campaign_is_exhaustive():

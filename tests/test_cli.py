@@ -52,6 +52,12 @@ def test_verify_usage_errors(capsys):
     assert run_cli(capsys, "verify", "--ring", "q", "--theorems", "bogus")[0] == 2
     assert run_cli(capsys, "verify", "--ring", "q", "--trials", "0")[0] == 2
     assert run_cli(capsys, "verify", "--ring", "gf:4")[0] == 2
+    assert run_cli(capsys, "verify", "--ring", "q", "--trials", "2",
+                   "--theorems", "thm24,thm24")[0] == 2
+    for huge in ("gf:1000000007", "gf:1000000000000000003"):
+        code, _, err = run_cli(capsys, "verify", "--ring", huge, "--n", "2", "--trials", "1")
+        assert code == 2
+        assert "cap" in err
 
 
 def test_bad_subcommand_is_usage_error(capsys):

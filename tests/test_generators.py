@@ -1,6 +1,7 @@
 """Determinism and correctness of the projection-pair generators."""
 import pytest
 
+from starinv import algebra
 from starinv.generators import (
     GenerationFailedError,
     SplitMix64,
@@ -141,3 +142,5 @@ def test_all_projections_too_large():
         all_projections_matrix(2, QQ)  # infinite field
     with pytest.raises(TooLargeError):
         all_projections_matrix(4, PrimeField(7))  # 7^16 cells
+    # One class serves every cap: the algebra scan cap raises it too.
+    assert TooLargeError is algebra.TooLargeError

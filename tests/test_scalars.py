@@ -9,6 +9,7 @@ from starinv.scalars import (
     QQ,
     GaussianRational,
     PrimeField,
+    TooLargeError,
     is_prime,
     parse_rational,
 )
@@ -78,6 +79,10 @@ def test_prime_field_requires_prime_modulus():
         PrimeField(6)
     with pytest.raises(ValueError):
         PrimeField(1)
+    # Primes beyond the modulus cap are refused before any primality test.
+    for huge in (1000000007, 1000000000000000003):
+        with pytest.raises(TooLargeError):
+            PrimeField(huge)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])

@@ -29,6 +29,7 @@ from starinv.theorems import (
     lemma211_check,
     lemma212_check,
     pxp_extraction,
+    run_battery,
     thm24_battery,
     thm27_check,
     thm213_check,
@@ -299,16 +300,16 @@ def test_thm24_exhaustive_example26(alg, alg_engine):
 
 
 def test_cor25_canonical(canonical):
-    verdict = cor25_battery(canonical, ENGINE2, True)
+    verdict = cor25_battery(canonical, ENGINE2)
     assert_passed(verdict)
 
 
 def test_cor25_equal_pair():
-    assert_passed(cor25_battery(equal_pair_ctx(RING2), ENGINE2, True))
+    assert_passed(cor25_battery(equal_pair_ctx(RING2), ENGINE2))
 
 
 def test_cor25_not_applicable_without_reducing(alg_pair, alg_engine):
-    verdict = cor25_battery(alg_pair, alg_engine, False)
+    verdict = run_battery("cor25", alg_pair, alg_engine, False)
     assert not verdict.applicable
 
 
@@ -322,19 +323,19 @@ def test_cor25_existence_asymmetry_witness(alg, alg_engine, alg_pair):
 
 
 def test_cor26_canonical(canonical):
-    assert_passed(cor26_battery(canonical, ENGINE2, True))
+    assert_passed(cor26_battery(canonical, ENGINE2))
 
 
 def test_cor26_zero_pair():
     zero = RING2.zero()
-    assert_passed(cor26_battery(ProjectionPairContext(zero, zero), ENGINE2, True))
+    assert_passed(cor26_battery(ProjectionPairContext(zero, zero), ENGINE2))
 
 
 def test_cor26_random_gaussian_pairs():
     ring = MatrixRing(QI, 3)
     engine = MatrixInverseEngine(ring)
     for ctx in random_pairs(ring, 20, seed=202):
-        assert_passed(cor26_battery(ctx, engine, True))
+        assert_passed(cor26_battery(ctx, engine))
 
 
 # ------------------------------------------------------------------- thm27
@@ -364,13 +365,13 @@ def test_thm27_exhaustive_example26(alg, alg_engine):
 
 
 def test_cor28(canonical):
-    assert_passed(cor28_battery(canonical, ENGINE2, True))
-    assert_passed(cor28_battery(equal_pair_ctx(RING2), ENGINE2, True))
-    assert not cor28_battery(canonical, ENGINE2, False).applicable
+    assert_passed(cor28_battery(canonical, ENGINE2))
+    assert_passed(cor28_battery(equal_pair_ctx(RING2), ENGINE2))
+    assert not run_battery("cor28", canonical, ENGINE2, False).applicable
 
 
 def test_cor29_canonical(canonical):
-    verdict = cor29_chains(canonical, ENGINE2, True)
+    verdict = cor29_chains(canonical, ENGINE2)
     assert_passed(verdict)
     names = {c.name: c.status for c in verdict.checks}
     assert names["chain1_all_equal"] == "pass"
@@ -378,26 +379,26 @@ def test_cor29_canonical(canonical):
 
 
 def test_cor29_equal_pair():
-    assert_passed(cor29_chains(equal_pair_ctx(RING2), ENGINE2, True))
+    assert_passed(cor29_chains(equal_pair_ctx(RING2), ENGINE2))
 
 
 def test_cor29_random_rational_pairs():
     ring = MatrixRing(QQ, 4)
     engine = MatrixInverseEngine(ring)
     for ctx in random_pairs(ring, 20, seed=303):
-        assert_passed(cor29_chains(ctx, engine, True))
+        assert_passed(cor29_chains(ctx, engine))
 
 
 # ------------------------------------------------------- lemma210, lemma211
 
 
 def test_lemma210(canonical):
-    assert_passed(lemma210_battery(canonical, ENGINE2, True))
+    assert_passed(lemma210_battery(canonical, ENGINE2))
     one = RING2.one()
-    assert_passed(lemma210_battery(ProjectionPairContext(one, one), ENGINE2, True))
+    assert_passed(lemma210_battery(ProjectionPairContext(one, one), ENGINE2))
     zero = RING2.zero()
-    assert_passed(lemma210_battery(ProjectionPairContext(zero, zero), ENGINE2, True))
-    assert not lemma210_battery(canonical, ENGINE2, False).applicable
+    assert_passed(lemma210_battery(ProjectionPairContext(zero, zero), ENGINE2))
+    assert not run_battery("lemma210", canonical, ENGINE2, False).applicable
 
 
 def test_lemma211_equal_pair():
@@ -457,24 +458,24 @@ def test_lemma212_example26_elements(alg, alg_engine):
 
 
 def test_thm213_equal_pair():
-    assert_passed(thm213_check(equal_pair_ctx(RING2), ENGINE2, True))
+    assert_passed(thm213_check(equal_pair_ctx(RING2), ENGINE2))
 
 
 def test_thm213_canonical(canonical):
     commutator = canonical.p * canonical.q - canonical.q * canonical.p
     assert commutator == qmat([[0, F(1, 2)], [F(-1, 2), 0]])
     assert ENGINE2.mp(commutator) is not None
-    assert_passed(thm213_check(canonical, ENGINE2, True))
+    assert_passed(thm213_check(canonical, ENGINE2))
 
 
 def test_thm213_gated(canonical):
-    assert not thm213_check(canonical, ENGINE2, False).applicable
+    assert not run_battery("thm213", canonical, ENGINE2, False).applicable
 
 
 def test_thm214_equal_pair_formula_via_solver():
     p = RING2.element([[1, 0], [0, 0]])
     ctx = ProjectionPairContext(p, p)
-    verdict = thm214_check(ctx, ENGINE2, True)
+    verdict = thm214_check(ctx, ENGINE2)
     assert_passed(verdict)
     w = anticommutator_mp_formula(ctx, ENGINE2)
     anti = p * p + p * p  # 2p
@@ -482,7 +483,7 @@ def test_thm214_equal_pair_formula_via_solver():
 
 
 def test_thm214_canonical(canonical):
-    verdict = thm214_check(canonical, ENGINE2, True)
+    verdict = thm214_check(canonical, ENGINE2)
     assert_passed(verdict)
     w = anticommutator_mp_formula(canonical, ENGINE2)
     anti = canonical.p * canonical.q + canonical.q * canonical.p
@@ -494,7 +495,7 @@ def test_thm214_canonical(canonical):
 def test_thm214_zero_pair():
     zero = RING2.zero()
     ctx = ProjectionPairContext(zero, zero)
-    assert_passed(thm214_check(ctx, ENGINE2, True))
+    assert_passed(thm214_check(ctx, ENGINE2))
     assert anticommutator_mp_formula(ctx, ENGINE2) == zero
 
 
@@ -502,8 +503,8 @@ def test_thm213_thm214_random_gaussian_pairs():
     ring = MatrixRing(QI, 3)
     engine = MatrixInverseEngine(ring)
     for ctx in random_pairs(ring, 20, seed=505):
-        assert_passed(thm213_check(ctx, engine, True))
-        assert_passed(thm214_check(ctx, engine, True))
+        assert_passed(thm213_check(ctx, engine))
+        assert_passed(thm214_check(ctx, engine))
 
 
 # -------------------------------------------------- verdict plumbing
