@@ -341,14 +341,12 @@ def enumerate_projections(algebra: StructureConstantAlgebra) -> list[AlgebraElem
 class ExhaustiveEngine:
     """Brute-force inverse engine for one finite algebra.
 
-    Results are memoized per coefficient vector; with only 2^dim
-    elements the cache makes whole-campaign exhaustive runs cheap.
+    Every call scans the algebra afresh; wrap it in ``ring.CachingEngine``
+    to answer repeated elements from a memo, as campaigns do.
     """
 
     def __init__(self, algebra: StructureConstantAlgebra):
         self.algebra = algebra
-        self._mp_cache: dict[int, int | None] = {}
-        self._drazin_cache: dict[int, tuple[int, int] | None] = {}
 
     @property
     def ring_id(self) -> str:
@@ -359,20 +357,10 @@ class ExhaustiveEngine:
         return self.algebra.is_star_reducing
 
     def mp(self, x: AlgebraElement) -> AlgebraElement | None:
-        if x.bits not in self._mp_cache:
-            witness = brute_force_mp(self.algebra, x)
-            self._mp_cache[x.bits] = None if witness is None else witness.bits
-        bits = self._mp_cache[x.bits]
-        return None if bits is None else self.algebra.element(bits)
+        return brute_force_mp(self.algebra, x)
 
     def drazin(self, x: AlgebraElement) -> tuple[AlgebraElement, int] | None:
-        if x.bits not in self._drazin_cache:
-            result = brute_force_drazin(self.algebra, x)
-            self._drazin_cache[x.bits] = None if result is None else (result[0].bits, result[1])
-        cached = self._drazin_cache[x.bits]
-        if cached is None:
-            return None
-        return self.algebra.element(cached[0]), cached[1]
+        return brute_force_drazin(self.algebra, x)
 
     def serialize(self, x: AlgebraElement) -> str:
         return self.algebra.format_element(x)

@@ -12,6 +12,7 @@ import csv
 import io
 import itertools
 import json
+import re
 import time
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from ._version import __version__
 from .algebra import ExhaustiveEngine, enumerate_projections, example26_algebra
 from .generators import EXHAUSTIVE_CELL_CAP, TrialSpec, all_projections_matrix, trial_pair
 from .matrices import MatrixInverseEngine, MatrixRing
-from .ring import ProjectionPairContext
+from .ring import CachingEngine, ProjectionPairContext
 from .scalars import QI, QQ, Field, PrimeField
 from .theorems import THEOREM_IDS, run_battery
 
@@ -170,15 +171,18 @@ class CampaignReport:
 def matrix_field(ring_id: str) -> Field:
     """The scalar field of a matrix ring id: q, qi or gf:<prime>.
 
-    Raises ValueError for any other id, a composite modulus, or (as
-    TooLargeError) a modulus beyond the cap.
+    The modulus must be written canonically (ASCII digits, no sign, no
+    leading zero), so the id names the ring exactly as
+    ``MatrixRing.ring_id`` does.  Raises ValueError for any other id, a
+    composite modulus, or (as TooLargeError) a modulus beyond the cap.
     """
     if ring_id == "q":
         return QQ
     if ring_id == "qi":
         return QI
-    if ring_id.startswith("gf:"):
-        return PrimeField(int(ring_id[len("gf:"):]))
+    modulus = re.fullmatch(r"gf:([1-9][0-9]*)", ring_id)
+    if modulus:
+        return PrimeField(int(modulus.group(1)))
     raise ValueError(f"unknown ring id {ring_id!r}")
 
 
@@ -209,38 +213,46 @@ def _sweep(config: CampaignConfig, n: int, projections):
 
 
 def _pair_stream(config: CampaignConfig):
-    """The engine, its reducing flag, and the (spec, p, q) trials."""
+    """The engine, the (spec, p, q) trials, and whether the pairs are a sweep.
+
+    A sweep draws every pair from one fixed projection list, so derived
+    elements recur across pairs; seeded random pairs share little.
+    """
     if config.ring == "example26":
         algebra = example26_algebra()
-        engine = ExhaustiveEngine(algebra)
         pairs = _sweep(config, algebra.dim, enumerate_projections(algebra))
-        return engine, engine.star_reducing, pairs
+        return ExhaustiveEngine(algebra), pairs, True
 
     ring = MatrixRing(matrix_field(config.ring), config.n)
     engine = MatrixInverseEngine(ring)
     size = ring.field.size
     if size is not None and size ** (config.n * config.n) <= EXHAUSTIVE_CELL_CAP:
         pairs = _sweep(config, config.n, all_projections_matrix(config.n, ring.field))
-    else:
-        pairs = (trial_pair(ring, config.seed, trial) for trial in range(config.trials))
-    return engine, engine.star_reducing, pairs
+        return engine, pairs, True
+    trials = (trial_pair(ring, config.seed, trial) for trial in range(config.trials))
+    return engine, trials, False
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run the configured batteries and aggregate a report.
 
     Exhaustive instances (example26, small prime-field rings) ignore the
-    trial count and sweep every projection pair.
+    trial count and sweep every projection pair.  Engine answers are
+    memoized for the whole of a sweep and for one pair at a time
+    otherwise, where a campaign-wide memo would only grow.
     """
     check_theorem_ids(config.theorems)
     started = time.monotonic()
-    engine, star_reducing, pairs = _pair_stream(config)
+    inner, pairs, sweep = _pair_stream(config)
+    engine = CachingEngine(inner)
     records: list[TrialRecord] = []
     tallies = {theorem: [0, 0, 0] for theorem in config.theorems}  # passed, failed, na
     for spec, p, q in pairs:
+        if not sweep:
+            engine.clear()
         ctx = ProjectionPairContext(p, q)
         for theorem in config.theorems:
-            verdict = run_battery(theorem, ctx, engine, star_reducing)
+            verdict = run_battery(theorem, ctx, engine, engine.star_reducing)
             if not verdict.applicable:
                 status = STATUS_NOT_APPLICABLE
                 tallies[theorem][2] += 1

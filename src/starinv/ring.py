@@ -42,6 +42,53 @@ class InverseEngine(Protocol):
     def serialize(self, x) -> str: ...
 
 
+_MISSING = object()
+
+
+class CachingEngine:
+    """An InverseEngine that answers each repeated element from a memo.
+
+    Answers of the wrapped engine are kept per kind ("mp", "drazin"),
+    keyed on the element itself, which is immutable and hashes by
+    value; None ("no inverse") is kept like any other answer.
+    ``hits`` and ``misses`` count lookups per kind, and every miss is
+    one solve by the wrapped engine.  ``clear`` empties the memo and
+    keeps the counters, so a caller can bound it to a scope in which
+    elements recur.  ``ring_id`` and ``star_reducing`` are read once.
+    """
+
+    def __init__(self, engine: InverseEngine):
+        self.engine = engine
+        self.ring_id = engine.ring_id
+        self.star_reducing = engine.star_reducing
+        self._memo: dict[str, dict] = {"mp": {}, "drazin": {}}
+        self.hits = {"mp": 0, "drazin": 0}
+        self.misses = {"mp": 0, "drazin": 0}
+
+    def _answer(self, kind: str, solve, x):
+        memo = self._memo[kind]
+        result = memo.get(x, _MISSING)
+        if result is _MISSING:
+            self.misses[kind] += 1
+            result = memo[x] = solve(x)
+        else:
+            self.hits[kind] += 1
+        return result
+
+    def mp(self, x):
+        return self._answer("mp", self.engine.mp, x)
+
+    def drazin(self, x):
+        return self._answer("drazin", self.engine.drazin, x)
+
+    def serialize(self, x) -> str:
+        return self.engine.serialize(x)
+
+    def clear(self) -> None:
+        for memo in self._memo.values():
+            memo.clear()
+
+
 @dataclass(frozen=True)
 class PenroseReport:
     """Outcome of the four defining equations for a candidate b of a:

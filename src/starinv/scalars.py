@@ -15,8 +15,7 @@ from fractions import Fraction
 _RATIONAL_TOKEN = re.compile(r"^-?\d+(?:/\d+)?$")
 
 # Largest accepted GF(p) modulus.  Primality is decided by trial
-# division and isotropic_vector tabulates all p squares, so both stay
-# desk-sized below this.
+# division, which stays desk-sized below this.
 MODULUS_CAP = 1 << 20
 
 

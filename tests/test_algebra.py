@@ -151,7 +151,7 @@ def test_exhaustive_engine(alg):
     assert not engine.star_reducing
     xy = el(alg, "XY")
     assert engine.mp(xy) is None
-    assert engine.mp(xy) is None  # cached path
+    assert engine.mp(xy) is None  # every call scans again
     witness, k = engine.drazin(xy)
     assert witness == alg.zero_element() and k == 2
     assert engine.serialize(el(alg, "1", "X")) == "1 + X"

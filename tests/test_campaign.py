@@ -46,6 +46,9 @@ def test_parse_ring_id():
             parse_ring_id(huge)
     with pytest.raises(ValueError):
         parse_ring_id("zz")
+    for spelling in ("gf:+3", "gf: 3", "gf:0_3", "gf:03", "gf:\uff13"):  # int() reads 3
+        with pytest.raises(ValueError):
+            parse_ring_id(spelling)
 
 
 def test_random_campaign_aggregates():

@@ -58,6 +58,8 @@ def test_verify_usage_errors(capsys):
         code, _, err = run_cli(capsys, "verify", "--ring", huge, "--n", "2", "--trials", "1")
         assert code == 2
         assert "cap" in err
+    for spelling in ("gf:+3", "gf: 3", "gf:0_3", "gf:03", "gf:\uff13"):  # int() reads 3
+        assert run_cli(capsys, "verify", "--ring", spelling, "--trials", "1")[0] == 2
 
 
 def test_bad_subcommand_is_usage_error(capsys):

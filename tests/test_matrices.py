@@ -3,6 +3,7 @@
 The oracles: 2x2 inverses by the adjugate formula, MP existence over
 GF(2) by scanning all 16 candidates, and hand-reduced echelon forms.
 """
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -339,6 +340,42 @@ def test_isotropic_vectors():
     assert vec5 is not None and (vec5[0] ** 2 + vec5[1] ** 2) % 5 == 0
     vec33 = isotropic_vector(3, 3)
     assert vec33 is not None and sum(x * x for x in vec33) % 3 == 0
+
+
+def tabulated_isotropic_vector(p, n):
+    """Reference: look roots up in a table of all p squares (larger root kept)."""
+    if p == 2:
+        return (1, 1) + (0,) * (n - 2) if n >= 2 else None
+    if n == 1:
+        return None
+    squares = {(x * x) % p: x for x in range(p)}
+    if n == 2:
+        root = squares.get((-1) % p)
+        return None if root is None else (1, root)
+    for y in range(p):
+        x = squares.get((-1 - y * y) % p)
+        if x is not None:
+            return (x, y, 1) + (0,) * (n - 3)
+
+
+def test_isotropic_vector_matches_square_table():
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+    for p in primes:
+        for n in range(1, 5):
+            assert isotropic_vector(p, n) == tabulated_isotropic_vector(p, n), (p, n)
+
+
+def test_isotropic_vector_needs_no_square_table():
+    p = 1048573  # largest prime below scalars.MODULUS_CAP; -1 is a square mod p
+    tracemalloc.start()
+    try:
+        vectors = [isotropic_vector(p, n) for n in (2, 3)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for vec in vectors:
+        assert vec is not None and sum(x * x for x in vec) % p == 0
 
 
 def test_matrix_ring_star_reducing_flags():
