@@ -26,11 +26,10 @@ from .campaign import (
     parse_ring_id,
     run_campaign,
 )
-from .generators import TooLargeError, all_projections_matrix
+from .generators import EXHAUSTIVE_CELL_CAP, TooLargeError, all_projections_matrix
 from .matrices import (
     ExactMatrix,
     MatrixParseError,
-    MatrixRing,
     drazin_inverse,
     format_matrix,
     format_matrix_inline,
@@ -223,22 +222,28 @@ def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             sys.stdout.write(algebra.format_element(element) + "\n")
         return 0
 
-    matrix_ring = MatrixRing(matrix_field(ring), args.n)
-    try:
-        projections = all_projections_matrix(args.n, matrix_ring.field)
-    except TooLargeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    if args.n < 1:
+        parser.error("--n must be positive")
+    field = matrix_field(ring)
     if args.what == "projections":
-        listing = projections
+        try:
+            listing = all_projections_matrix(args.n, field)
+        except TooLargeError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
     else:
-        values = list(matrix_ring.field.elements())
         entries = args.n * args.n
+        # size >= 2, so capping the exponent keeps every count past the cap past it
+        if field.size ** min(entries, EXHAUSTIVE_CELL_CAP.bit_length()) > EXHAUSTIVE_CELL_CAP:
+            sys.stderr.write(
+                f"error: {field.size}^{entries} matrices exceed the"
+                f" {EXHAUSTIVE_CELL_CAP} enumeration cap\n"
+            )
+            return 2
         listing = [
             matrix
-            for combo in itertools.product(values, repeat=entries)
-            if mp_inverse(matrix := ExactMatrix(matrix_ring.field, args.n, args.n, list(combo)))
-            is not None
+            for combo in itertools.product(field.elements(), repeat=entries)
+            if mp_inverse(matrix := ExactMatrix(field, args.n, args.n, list(combo))) is not None
         ]
     for matrix in listing:
         sys.stdout.write(format_matrix_inline(matrix) + "\n")

@@ -8,6 +8,7 @@ Bounded integer draws use rejection, so no modulo bias.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -187,37 +188,73 @@ def pair_from_spec(ring: MatrixRing, spec: TrialSpec) -> tuple[ExactMatrix, Exac
     return p, q
 
 
+def subspace_count(n: int, size: int, cap: int) -> int:
+    """How many subspaces F^n has for |F| = size, or a count past cap.
+
+    The count is the sum of the Gaussian binomials [n, k] over k = 0..n,
+    built row by row with [m, k] = [m-1, k-1] + size^k [m-1, k].  The
+    row sums grow with m, so the first row whose sum passes cap is
+    returned at once; a huge n costs a few rows, not n.
+    """
+    row = [1]
+    for _ in range(n):
+        row = [1] + [row[k - 1] + size**k * row[k] for k in range(1, len(row))] + [1]
+        if sum(row) > cap:
+            break
+    return sum(row)
+
+
 def all_projections_matrix(n: int, field: Field) -> list[ExactMatrix]:
     """Every projection among the n x n matrices over a finite field.
 
-    Enumerates all |field|^(n^2) matrices in row-major lexicographic
-    order of their entries and keeps the self-adjoint idempotents.
+    A projection is fixed by its range U, which must be nondegenerate
+    (U meets its orthogonal complement only in 0); then P = V (V*V)^-1 V*
+    for any basis V of U.  Each subspace has exactly one reduced row
+    echelon basis G, so walking every RREF k x n matrix (every pivot
+    set, every value of the free entries) and keeping those whose Gram
+    matrix G G* is invertible yields each projection once.  Every
+    result is replayed through ``is_projection``, and the list is
+    sorted by entries: row-major lexicographic order of the residues,
+    the order of a scan over all matrices.
 
     Raises:
-        TooLargeError: for infinite fields or when the enumeration
-            would exceed the cap.
+        ValueError: for n < 1.
+        TooLargeError: for infinite fields or when the subspaces to
+            walk exceed the cap.
     """
+    if n < 1:
+        raise ValueError("matrix size must be positive")
     size = field.size
     if size is None:
         raise TooLargeError(f"cannot enumerate projections over infinite field {field.label}")
-    if size ** (n * n) > EXHAUSTIVE_CELL_CAP:
+    if subspace_count(n, size, EXHAUSTIVE_CELL_CAP) > EXHAUSTIVE_CELL_CAP:
         raise TooLargeError(
-            f"{size}^{n * n} matrices exceed the {EXHAUSTIVE_CELL_CAP} enumeration cap"
+            f"({field.label})^{n} has more than {EXHAUSTIVE_CELL_CAP} subspaces,"
+            " past the enumeration cap"
         )
-    values = list(field.elements())
-    total = n * n
-    found = []
-    counters = [0] * total
-    while True:
-        mat = ExactMatrix(field, n, n, [values[c] for c in counters])
-        if is_projection(mat):
-            found.append(mat)
-        pos = total - 1
-        while pos >= 0:
-            counters[pos] += 1
-            if counters[pos] < len(values):
-                break
-            counters[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return found
+    zero, one = field.zero(), field.one()
+    found = [ExactMatrix.zeros(field, n, n)]
+    for k in range(1, n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            free = [
+                i * n + j
+                for i, c in enumerate(pivots)
+                for j in range(c + 1, n)
+                if j not in pivots
+            ]
+            basis = [zero] * (k * n)
+            for i, c in enumerate(pivots):
+                basis[i * n + c] = one
+            for combo in itertools.product(field.elements(), repeat=len(free)):
+                for pos, value in zip(free, combo):
+                    basis[pos] = value
+                g = ExactMatrix(field, k, n, basis)
+                g_star = g.star()
+                gram = inverse(g * g_star)
+                if gram is not None:
+                    found.append(g_star * gram * g)
+    for e in found:
+        if not is_projection(e):
+            raise AssertionError(f"enumerated a non-projection {e!r}")
+    found.sort(key=lambda e: e.entries)
+    return found

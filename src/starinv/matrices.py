@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .scalars import Field, GaussianRationalField, PrimeField, RationalField, is_prime
+from .scalars import Field, GaussianRationalField, PrimeField, RationalField
 
 
 class ZeroMatrixError(ValueError):
@@ -534,9 +534,10 @@ def parse_matrix(text: str) -> ExactMatrix:
             p = int(tokens[2])
         except ValueError:
             raise MatrixParseError(f"bad GF modulus {tokens[2]!r}", no) from None
-        if not is_prime(p):
-            raise MatrixParseError(f"GF modulus {p} is not prime", no)
-        field = PrimeField(p)
+        try:
+            field = PrimeField(p)  # checks the modulus cap before primality
+        except ValueError as exc:
+            raise MatrixParseError(f"GF modulus: {exc}", no) from None
     else:
         raise MatrixParseError(f"unknown ring header {header!r}", no)
 

@@ -1,6 +1,12 @@
 """End-to-end CLI behavior: flags, files, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import starinv
+from starinv import cli, generators
 from starinv.cli import counterexample_evidence, main
 from starinv.matrices import parse_matrix
 from starinv.scalars import QQ
@@ -127,6 +133,20 @@ def test_inverse_parse_error(tmp_path, capsys):
     assert "line 4, entry 2" in err
 
 
+def test_inverse_huge_gf_modulus_fails_fast(tmp_path):
+    # trial division of this modulus never finishes; the cap is checked first
+    path = write_matrix(tmp_path, "ring GF 1000000000000000003\nrows 1\ncols 1\n1\n")
+    src = str(Path(starinv.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "starinv.cli", "inverse", "--kind", "mp", "--in", path],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert done.returncode == 2
+    assert "line 1" in done.stderr and "cap" in done.stderr
+
+
 def test_inverse_missing_file(capsys):
     assert run_cli(capsys, "inverse", "--kind", "mp", "--in", "/nonexistent")[0] == 2
 
@@ -225,12 +245,49 @@ def test_enumerate_gf2_mp_invertible(capsys):
     assert len(out.strip().splitlines()) == expected > 0
 
 
-def test_enumerate_too_large(capsys):
-    code, _, err = run_cli(
+def test_enumerate_too_large(capsys, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("built a matrix past the cap")
+
+    monkeypatch.setattr(generators, "inverse", must_not_run)
+    for n in ("9", "1000"):  # GF(2)^9 has 8,283,458 subspaces
+        code, _, err = run_cli(
+            capsys, "enumerate", "--ring", "gf:2", "--n", n, "--what", "projections"
+        )
+        assert code == 2
+        assert "cap" in err
+
+
+def test_enumerate_gf7_projections_beyond_the_matrix_cap(capsys):
+    # 7^9 matrices, but only 116 subspaces of GF(7)^3 to walk
+    code, out, _ = run_cli(
         capsys, "enumerate", "--ring", "gf:7", "--n", "3", "--what", "projections"
     )
-    assert code == 2
-    assert "cap" in err
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 100
+    assert "1 0 0; 0 1 0; 0 0 1" in lines
+
+
+def test_enumerate_mp_invertible_keeps_the_matrix_cap(capsys, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("scanned matrices past the cap")
+
+    monkeypatch.setattr(cli, "mp_inverse", must_not_run)
+    for n in ("3", "1000"):
+        code, _, err = run_cli(
+            capsys, "enumerate", "--ring", "gf:7", "--n", n, "--what", "mp-invertible"
+        )
+        assert code == 2
+        assert "cap" in err
+
+
+def test_enumerate_rejects_nonpositive_size(capsys):
+    for what in ("projections", "mp-invertible"):
+        for n in ("0", "-1"):
+            code, _, err = run_cli(capsys, "enumerate", "--ring", "gf:2", "--n", n, "--what", what)
+            assert code == 2
+            assert "--n must be positive" in err
 
 
 def test_enumerate_rejects_infinite_ring(capsys):

@@ -1,14 +1,16 @@
 """Determinism and correctness of the projection-pair generators."""
 import pytest
 
-from starinv import algebra
+from starinv import algebra, generators
 from starinv.generators import (
+    EXHAUSTIVE_CELL_CAP,
     GenerationFailedError,
     SplitMix64,
     TooLargeError,
     all_projections_matrix,
     pair_from_spec,
     random_projection,
+    subspace_count,
     trial_pair,
     trial_stream_seed,
 )
@@ -124,7 +126,10 @@ def _oracle_projections(n, field):
         stack[i] += 1
 
 
-@pytest.mark.parametrize("field,n", [(GF2, 2), (GF3, 2), (GF2, 3)])
+@pytest.mark.parametrize(
+    "field,n",
+    [(GF2, 2), (GF3, 2), (GF2, 3), (GF2, 1), (GF3, 3), (PrimeField(5), 2), (PrimeField(7), 2)],
+)
 def test_all_projections_matches_oracle(field, n):
     got = all_projections_matrix(n, field)
     assert got == _oracle_projections(n, field)
@@ -137,10 +142,51 @@ def test_all_projections_gf2_2x2_members():
         assert ExactMatrix.from_rows(GF2, rows) in got
 
 
-def test_all_projections_too_large():
+@pytest.mark.parametrize("field,n,count", [(GF2, 5, 194), (GF3, 4, 140), (PrimeField(7), 3, 100)])
+def test_all_projections_beyond_the_matrix_cap(field, n, count):
+    # |F|^(n^2) is past the old cell cap here, so no scan checks these lists
+    got = all_projections_matrix(n, field)
+    assert len(got) == count
+    assert all(is_projection(e) for e in got)
+    assert [e.entries for e in got] == sorted({e.entries for e in got})
+    one = ExactMatrix.identity(field, n)
+    members = set(got)
+    assert all(one - e in members for e in got)
+
+
+def test_all_projections_replays_every_result(monkeypatch):
+    # a wrong Gram inverse must be caught, not listed
+    monkeypatch.setattr(generators, "inverse", lambda m: ExactMatrix.identity(m.field, m.rows))
+    with pytest.raises(AssertionError):
+        all_projections_matrix(2, GF3)
+
+
+def test_subspace_count_is_the_galois_number():
+    # [2, 1]_p = p + 1 lines in the plane, plus 0 and the whole plane
+    assert [subspace_count(2, p, 10**9) for p in (2, 3, 7)] == [5, 6, 10]
+    assert subspace_count(3, 7, 10**9) == 116
+    assert subspace_count(4, 7, 10**9) == 3652
+    assert subspace_count(9, 2, 10**9) == 8283458
+    assert subspace_count(1000, 2, EXHAUSTIVE_CELL_CAP) > EXHAUSTIVE_CELL_CAP
+
+
+def test_all_projections_rejects_nonpositive_size():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            all_projections_matrix(n, GF2)
+
+
+def test_all_projections_too_large(monkeypatch):
     with pytest.raises(TooLargeError):
         all_projections_matrix(2, QQ)  # infinite field
-    with pytest.raises(TooLargeError):
-        all_projections_matrix(4, PrimeField(7))  # 7^16 cells
+
+    def must_not_run(*args):
+        raise AssertionError("built a matrix past the cap")
+
+    monkeypatch.setattr(generators, "ExactMatrix", must_not_run)
+    monkeypatch.setattr(generators, "inverse", must_not_run)
+    for n in (9, 1000):  # GF(2)^9 has 8,283,458 subspaces
+        with pytest.raises(TooLargeError):
+            all_projections_matrix(n, GF2)
     # One class serves every cap: the algebra scan cap raises it too.
     assert TooLargeError is algebra.TooLargeError

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from starinv import matrices, scalars
 from starinv.generators import SplitMix64
 from starinv.matrices import (
     ExactMatrix,
@@ -444,6 +445,20 @@ def test_parse_matrix_bad_header():
         parse_matrix("ring Z\nrows 1\ncols 1\n3\n")
     with pytest.raises(MatrixParseError):
         parse_matrix("ring GF 4\nrows 1\ncols 1\n3\n")
+
+
+def test_parse_matrix_checks_modulus_cap_before_primality(monkeypatch):
+    def bounded_is_prime(n):
+        assert n <= scalars.MODULUS_CAP, "trial division of an uncapped modulus"
+        return real_is_prime(n)
+
+    real_is_prime = scalars.is_prime
+    for module in (scalars, matrices):  # wherever parsing might look it up
+        monkeypatch.setattr(module, "is_prime", bounded_is_prime, raising=False)
+    with pytest.raises(MatrixParseError) as info:
+        parse_matrix("ring GF 1000000000000000003\nrows 1\ncols 1\n1\n")
+    assert info.value.line == 1
+    assert parse_matrix("ring GF 1048573\nrows 1\ncols 1\n5\n").field == PrimeField(1048573)
 
 
 def test_parse_matrix_wrong_entry_count():
