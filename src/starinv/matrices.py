@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .kernels import multiply, row_reduce
 from .scalars import Field, GaussianRationalField, PrimeField, RationalField
 
 
@@ -115,16 +116,8 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         f = self.field
-        n, k, m = self.rows, self.cols, other.cols
-        out = []
-        for i in range(n):
-            base = i * k
-            for j in range(m):
-                acc = f.zero()
-                for t in range(k):
-                    acc = f.add(acc, f.mul(self.entries[base + t], other.entries[t * m + j]))
-                out.append(acc)
-        return ExactMatrix(f, n, m, out)
+        entries = multiply(f, self.entries, self.cols, other.entries, other.cols)
+        return ExactMatrix(f, self.rows, other.cols, entries)
 
     def scale(self, s) -> "ExactMatrix":
         f = self.field
@@ -143,8 +136,7 @@ class ExactMatrix:
         return ExactMatrix.identity(self.field, self.rows)
 
     def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(a) for a in self.entries)
+        return not any(self.entries)
 
     def __eq__(self, other) -> bool:
         return (
@@ -167,46 +159,32 @@ class ExactMatrix:
 def _hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.rows != b.rows:
         raise ValueError("row mismatch")
-    rows = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
-    return ExactMatrix.from_rows(a.field, rows)
+    entries = [e for i in range(a.rows) for e in a.row(i) + b.row(i)]
+    return ExactMatrix(a.field, a.rows, a.cols + b.cols, entries)
 
 
 def _submatrix(a: ExactMatrix, rows: range, cols: range) -> ExactMatrix:
-    return ExactMatrix.from_rows(a.field, [[a.entry(i, j) for j in cols] for i in rows])
+    return ExactMatrix(a.field, len(rows), len(cols), [a.entry(i, j) for i in rows for j in cols])
 
 
 def _columns(a: ExactMatrix, indices: Sequence[int]) -> ExactMatrix:
-    return ExactMatrix.from_rows(a.field, [[a.entry(i, j) for j in indices] for i in range(a.rows)])
+    entries = [a.entry(i, j) for i in range(a.rows) for j in indices]
+    return ExactMatrix(a.field, a.rows, len(indices), entries)
 
 
 def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, int, tuple[int, ...]]:
     """Reduced row echelon form by Gauss-Jordan elimination.
 
+    Over Q and Q(i) the elimination runs on integer rows; the RREF is
+    unique, so the result is the same as elimination in Fractions.
+
     Returns:
         (R, rank, pivots) where R has unit pivots with zeroed pivot
         columns and pivots lists the pivot column indices in order.
     """
-    f = matrix.field
-    m, n = matrix.rows, matrix.cols
-    data = matrix.to_rows()
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        pivot_row = next((i for i in range(r, m) if not f.is_zero(data[i][col])), None)
-        if pivot_row is None:
-            continue
-        data[r], data[pivot_row] = data[pivot_row], data[r]
-        scale = f.inv(data[r][col])
-        data[r] = [f.mul(scale, e) for e in data[r]]
-        for i in range(m):
-            if i != r and not f.is_zero(data[i][col]):
-                factor = data[i][col]
-                data[i] = [f.sub(e, f.mul(factor, piv)) for e, piv in zip(data[i], data[r])]
-        pivots.append(col)
-        r += 1
-    return ExactMatrix.from_rows(f, data), r, tuple(pivots)
+    f, m, n = matrix.field, matrix.rows, matrix.cols
+    entries, r, pivots = row_reduce(f, matrix.entries, m, n)
+    return ExactMatrix(f, m, n, entries), r, tuple(pivots)
 
 
 def rank(matrix: ExactMatrix) -> int:
@@ -240,7 +218,7 @@ def null_space_basis(matrix: ExactMatrix) -> ExactMatrix | None:
         for i, pc in enumerate(pivots):
             vec[pc] = f.neg(reduced.entry(i, fc))
         cols.append(vec)
-    return ExactMatrix.from_rows(f, [[cols[c][i] for c in range(len(free))] for i in range(n)])
+    return ExactMatrix(f, n, len(free), [col[i] for i in range(n) for col in cols])
 
 
 @dataclass(frozen=True)
@@ -333,11 +311,8 @@ def drazin_inverse(matrix: ExactMatrix) -> tuple[ExactMatrix, int]:
     c_inv = inverse(c_block)
     assert c_inv is not None
     z = f.zero()
-    block = [
-        [c_inv.entry(i, j) if i < r and j < r else z for j in range(n)]
-        for i in range(n)
-    ]
-    return s * ExactMatrix.from_rows(f, block) * s_inv, k
+    block = [c_inv.entry(i, j) if i < r and j < r else z for i in range(n) for j in range(n)]
+    return s * ExactMatrix(f, n, n, block) * s_inv, k
 
 
 def group_inverse(matrix: ExactMatrix) -> ExactMatrix | None:

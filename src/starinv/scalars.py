@@ -62,25 +62,25 @@ class GaussianRational:
         object.__setattr__(self, "im", Fraction(self.im))
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self.re, -self.im)
 
     def inverse(self) -> "GaussianRational":
         norm = self.re * self.re + self.im * self.im
         if norm == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return _gaussian(self.re / norm, -self.im / norm)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return _gaussian(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return _gaussian(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.re, -self.im)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
+        return _gaussian(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -90,6 +90,18 @@ class GaussianRational:
 
     def __str__(self) -> str:
         return f"{self.re},{self.im}"
+
+
+def _gaussian(re: Fraction, im: Fraction) -> GaussianRational:
+    """Trusted internal constructor: both parts must already be Fractions.
+
+    Skips the public constructor's float check and re-wrapping, for
+    arithmetic whose results are canonical by construction.
+    """
+    z = object.__new__(GaussianRational)
+    object.__setattr__(z, "re", re)
+    object.__setattr__(z, "im", im)
+    return z
 
 
 class Field(ABC):
@@ -137,7 +149,7 @@ class Field(ABC):
         """Canonicalize a user-supplied value; floats are rejected."""
 
     def is_zero(self, a) -> bool:
-        return a == self.zero()
+        return not a
 
     @property
     def size(self) -> int | None:
@@ -192,10 +204,10 @@ class GaussianRationalField(Field):
     label: str = "QI"
 
     def zero(self) -> GaussianRational:
-        return GaussianRational(Fraction(0), Fraction(0))
+        return _gaussian(Fraction(0), Fraction(0))
 
     def one(self) -> GaussianRational:
-        return GaussianRational(Fraction(1), Fraction(0))
+        return _gaussian(Fraction(1), Fraction(0))
 
     def add(self, a, b):
         return a + b

@@ -1,8 +1,11 @@
 """Solver checks, cross-checked against independent oracles.
 
 The oracles: 2x2 inverses by the adjugate formula, MP existence over
-GF(2) by scanning all 16 candidates, and hand-reduced echelon forms.
+GF(2) by scanning all 16 candidates, hand-reduced echelon forms, and
+per-scalar Field-method loops for the integer product and elimination
+kernels.
 """
+import math
 import tracemalloc
 from fractions import Fraction as F
 
@@ -132,6 +135,154 @@ def test_gram_rank_matches_over_gaussians():
         )
         assert rank(a) == rank(a.star())
         assert rank(a.star() * a) == rank(a)
+
+
+# ------------------------------------------------------------ exact kernels
+
+
+def _oracle_product(a, b):
+    # the per-scalar loop: one Field call per multiply and per add
+    f = a.field
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = f.zero()
+            for t in range(a.cols):
+                acc = f.add(acc, f.mul(a.entry(i, t), b.entry(t, j)))
+            out.append(acc)
+    return ExactMatrix(f, a.rows, b.cols, out)
+
+
+def _oracle_rref(matrix):
+    # Gauss-Jordan on field scalars: Fractions over Q and Q(i)
+    f = matrix.field
+    m, n = matrix.rows, matrix.cols
+    data = matrix.to_rows()
+    pivots = []
+    r = 0
+    for col in range(n):
+        if r == m:
+            break
+        pivot_row = next((i for i in range(r, m) if not f.is_zero(data[i][col])), None)
+        if pivot_row is None:
+            continue
+        data[r], data[pivot_row] = data[pivot_row], data[r]
+        scale = f.inv(data[r][col])
+        data[r] = [f.mul(scale, e) for e in data[r]]
+        for i in range(m):
+            if i != r and not f.is_zero(data[i][col]):
+                factor = data[i][col]
+                data[i] = [f.sub(e, f.mul(factor, piv)) for e, piv in zip(data[i], data[r])]
+        pivots.append(col)
+        r += 1
+    return ExactMatrix.from_rows(f, data), r, tuple(pivots)
+
+
+KERNEL_FIELDS = [QQ, QI, GF2, PrimeField(7), PrimeField(31)]
+
+
+def random_scalar(field, rng, large):
+    if isinstance(field, PrimeField):
+        return rng.int_between(0, field.p - 1)
+    if rng.below(3) == 0:
+        return field.zero()
+    bound = 10**15 if large else 6
+
+    def part():
+        num = rng.int_between(-bound, bound) * (rng.int_between(1, bound) if large else 1)
+        return F(num, rng.int_between(1, bound))
+
+    return part() if field is QQ else GaussianRational(part(), part())
+
+
+def kernel_matrix(field, rng, rows, cols):
+    """Random rows, then some replaced by zero, duplicate or combined rows."""
+    large = rng.below(4) == 0
+    data = [[random_scalar(field, rng, large) for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        kind = rng.below(5)
+        if kind == 0:
+            data[i] = [field.zero()] * cols
+        elif kind == 1:
+            data[i] = list(data[rng.below(i)])
+        elif kind == 2:
+            c = random_scalar(field, rng, False)
+            src = data[rng.below(i)]
+            other = data[rng.below(i)]
+            data[i] = [field.add(field.mul(c, x), y) for x, y in zip(src, other)]
+    return ExactMatrix(field, rows, cols, [e for row in data for e in row])
+
+
+def assert_canonical(matrix):
+    f = matrix.field
+    for e in matrix.entries:
+        parts = [e] if f is QQ else [e.re, e.im] if f is QI else None
+        if parts is None:
+            assert type(e) is int and 0 <= e < f.p
+            continue
+        if f is QI:
+            assert type(e) is GaussianRational
+        for x in parts:
+            assert type(x) is F
+            assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.label)
+def test_product_kernel_matches_scalar_loop(field):
+    rng = SplitMix64(404)
+    for _ in range(300):
+        n, k, m = (1 + rng.below(5) for _ in range(3))
+        a = kernel_matrix(field, rng, n, k)
+        b = kernel_matrix(field, rng, k, m)
+        got = a * b
+        assert got == _oracle_product(a, b)
+        assert (got.rows, got.cols) == (n, m)
+        assert_canonical(got)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.label)
+def test_rref_kernel_matches_scalar_elimination(field):
+    rng = SplitMix64(505)
+    for _ in range(300):
+        a = kernel_matrix(field, rng, 1 + rng.below(5), 1 + rng.below(5))
+        reduced, r, pivots = rref(a)
+        assert (reduced, r, pivots) == _oracle_rref(a)
+        assert_canonical(reduced)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.label)
+def test_kernels_on_one_by_one_and_zero_matrices(field):
+    one = ExactMatrix.identity(field, 1)
+    x = ExactMatrix(field, 1, 1, [field.neg(field.one())])
+    assert x * x == one and x * one == x
+    assert rref(x) == (one, 1, (0,))
+    for rows, cols in [(1, 1), (2, 3), (4, 1)]:
+        z = ExactMatrix.zeros(field, rows, cols)
+        assert rref(z) == (z, 0, ())
+        assert z * ExactMatrix.zeros(field, cols, 2) == ExactMatrix.zeros(field, rows, 2)
+        assert_canonical(rref(z)[0])
+
+
+def test_kernels_keep_large_numerators_exact():
+    big = F(3**80, 7**40)
+    a = qmat([[big, 1], [2 * big, 2]])
+    reduced, r, pivots = rref(a)
+    assert reduced == qmat([[1, 1 / big], [0, 0]]) and r == 1 and pivots == (0,)
+    assert (a * a).entry(0, 0) == big * big + 2 * big
+    z = GaussianRational(big, -big)
+    assert rref(ExactMatrix(QI, 1, 2, [z, QI.one()])) == (
+        ExactMatrix(QI, 1, 2, [QI.one(), z.inverse()]), 1, (0,))
+
+
+def test_kernels_reject_unknown_field():
+    class Other(type(QQ)):
+        pass
+
+    a = ExactMatrix(Other(), 1, 1, [F(1)])
+    with pytest.raises(TypeError):
+        a * a
+    with pytest.raises(TypeError):
+        rref(a)
 
 
 # ------------------------------------------------------- rank factorization

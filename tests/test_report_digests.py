@@ -3,7 +3,8 @@
 Each digest is the SHA-256 of the JSON report with ``duration_seconds``
 removed.  The configs cover the example26 algebra, a sweep over a ring
 that is not *-reducing (gf:2, n = 3), a sweep over a *-reducing one
-(gf:3, n = 2) and a seeded random campaign, each with all 14 batteries.
+(gf:3, n = 2) and seeded random campaigns over Q and over Q(i), each
+with all 14 batteries.
 A refactor that changes any record, count or config field fails here.
 """
 import hashlib
@@ -22,6 +23,8 @@ DIGESTS = [
      "7296aec7a83b01d1f942eddc32fe7c0f1f3feac129375080068bc884887e1a6f"),
     (CampaignConfig(ring="q", n=3, trials=4, seed=7),
      "a65a8a5b43b086ddb46385db0b2be10b714518e66fecad971da8c5da40e8c5cc"),
+    (CampaignConfig(ring="qi", n=3, trials=4, seed=7),
+     "c4e46d7556bb3fc529ecf0d563bafcc8a80217d1bff3adc753cb9fd578308c7c"),
 ]
 
 

@@ -134,3 +134,32 @@ def test_coercion_canonicalizes_and_rejects_floats():
         PrimeField(5).coerce(Fraction(1))
     with pytest.raises(ValueError):
         PrimeField(5).coerce(5)
+
+
+def test_gaussian_constructor_coerces_ints_and_rejects_floats():
+    z = GaussianRational(2, -3)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert z == GaussianRational(Fraction(2), Fraction(-3))
+    for re, im in [(0.5, 0), (0, 0.5), (1.0, 2.0)]:
+        with pytest.raises(TypeError):
+            GaussianRational(re, im)
+
+
+def test_gaussian_arithmetic_keeps_fraction_parts():
+    z = GaussianRational(Fraction(1, 2), Fraction(-3))
+    w = GaussianRational(Fraction(2, 3), Fraction(5, 7))
+    for x in [z + w, z - w, -z, z * w, z.conjugate(), z.inverse(), QI.zero(), QI.one()]:
+        assert type(x) is GaussianRational
+        assert type(x.re) is Fraction and type(x.im) is Fraction
+    assert z * z.inverse() == QI.one()
+    assert hash(z + w - w) == hash(z)
+
+
+def test_is_zero_agrees_with_equality_to_zero():
+    gf = PrimeField(5)
+    cases = [(QQ, [Fraction(0), Fraction(-1, 3)]),
+             (QI, [QI.zero(), GaussianRational(0, 1), GaussianRational(1, 0)]),
+             (gf, list(gf.elements()))]
+    for field, values in cases:
+        for a in values:
+            assert field.is_zero(a) == (a == field.zero())
