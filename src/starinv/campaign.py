@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 from ._version import __version__
 from .algebra import ExhaustiveEngine, enumerate_projections, example26_algebra
-from .generators import EXHAUSTIVE_CELL_CAP, TrialSpec, all_projections_matrix, trial_pair
+from .generators import (
+    EXHAUSTIVE_CELL_CAP,
+    TrialSpec,
+    all_projections_matrix,
+    orthogonal_generators,
+    pair_orbits,
+    trial_pair,
+)
 from .matrices import MatrixInverseEngine, MatrixRing
 from .ring import CachingEngine, ProjectionPairContext
 from .scalars import QI, QQ, Field, PrimeField
@@ -206,17 +213,26 @@ def check_theorem_ids(theorems) -> None:
         raise ValueError(f"duplicate theorem ids: {', '.join(duplicates)}")
 
 
-def _sweep(config: CampaignConfig, n: int, projections):
-    """Every ordered pair of projections, with its trial spec."""
+def _sweep(config: CampaignConfig, n: int, projections, representatives=None):
+    """Every ordered pair of projections, with its trial spec and the
+    trial index of its orbit representative (its own index when no
+    orbits are given)."""
     for index, (p, q) in enumerate(itertools.product(projections, repeat=2)):
-        yield TrialSpec(config.ring, n, None, None, config.seed, index), p, q
+        representative = index if representatives is None else representatives[index]
+        yield TrialSpec(config.ring, n, None, None, config.seed, index), p, q, representative
 
 
 def _pair_stream(config: CampaignConfig):
-    """The engine, the (spec, p, q) trials, and whether the pairs are a sweep.
+    """The engine, the (spec, p, q, representative) trials, and whether
+    the pairs are a sweep.
 
     A sweep draws every pair from one fixed projection list, so derived
-    elements recur across pairs; seeded random pairs share little.
+    elements recur across pairs; seeded random pairs share little.  A
+    GF(p) matrix sweep also groups its pairs into orbits under
+    simultaneous conjugation by orthogonal matrices, a *-automorphism:
+    MP and Drazin inverses are unique, so every battery gives the same
+    verdict on each pair of an orbit.  Example26 and random trials are
+    their own representatives.
     """
     if config.ring == "example26":
         algebra = example26_algebra()
@@ -227,19 +243,31 @@ def _pair_stream(config: CampaignConfig):
     engine = MatrixInverseEngine(ring)
     size = ring.field.size
     if size is not None and size ** (config.n * config.n) <= EXHAUSTIVE_CELL_CAP:
-        pairs = _sweep(config, config.n, all_projections_matrix(config.n, ring.field))
-        return engine, pairs, True
-    trials = (trial_pair(ring, config.seed, trial) for trial in range(config.trials))
+        projections = all_projections_matrix(config.n, ring.field)
+        orbits = pair_orbits(projections, orthogonal_generators(config.n, ring.field))
+        return engine, _sweep(config, config.n, projections, orbits), True
+    trials = ((*trial_pair(ring, config.seed, t), t) for t in range(config.trials))
     return engine, trials, False
+
+
+def _outcome(verdict) -> tuple[str, tuple[str, ...]]:
+    """A verdict's record status and failing sub-checks."""
+    if not verdict.applicable:
+        return STATUS_NOT_APPLICABLE, ()
+    if verdict.passed:
+        return STATUS_PASSED, ()
+    return STATUS_FAILED, verdict.failing_checks()
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run the configured batteries and aggregate a report.
 
     Exhaustive instances (example26, small prime-field rings) ignore the
-    trial count and sweep every projection pair.  Engine answers are
-    memoized for the whole of a sweep and for one pair at a time
-    otherwise, where a campaign-wide memo would only grow.
+    trial count and sweep every projection pair; the batteries run once
+    per orbit, on its first pair, and every pair still gets its own
+    records, failures carrying that pair's spec and serialization.
+    Engine answers are memoized for the whole of a sweep and for one
+    pair at a time otherwise, where a campaign-wide memo would only grow.
     """
     check_theorem_ids(config.theorems)
     started = time.monotonic()
@@ -247,33 +275,36 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     engine = CachingEngine(inner)
     records: list[TrialRecord] = []
     tallies = {theorem: [0, 0, 0] for theorem in config.theorems}  # passed, failed, na
-    for spec, p, q in pairs:
-        if not sweep:
-            engine.clear()
-        ctx = ProjectionPairContext(p, q)
-        for theorem in config.theorems:
-            verdict = run_battery(theorem, ctx, engine, engine.star_reducing)
-            if not verdict.applicable:
-                status = STATUS_NOT_APPLICABLE
-                tallies[theorem][2] += 1
-                records.append(TrialRecord(theorem, spec.trial, status))
-            elif verdict.passed:
-                status = STATUS_PASSED
-                tallies[theorem][0] += 1
-                records.append(TrialRecord(theorem, spec.trial, status))
-            else:
-                tallies[theorem][1] += 1
-                records.append(
-                    TrialRecord(
-                        theorem,
-                        spec.trial,
-                        STATUS_FAILED,
-                        failing_checks=verdict.failing_checks(),
-                        spec=spec,
-                        p=engine.serialize(p),
-                        q=engine.serialize(q),
-                    )
+    column = {STATUS_PASSED: 0, STATUS_FAILED: 1, STATUS_NOT_APPLICABLE: 2}
+    orbit_outcomes: dict[int, list] = {}
+    for spec, p, q, representative in pairs:
+        if representative == spec.trial:
+            if not sweep:
+                engine.clear()
+            ctx = ProjectionPairContext(p, q)
+            outcomes = [
+                _outcome(run_battery(theorem, ctx, engine, engine.star_reducing))
+                for theorem in config.theorems
+            ]
+            if sweep:
+                orbit_outcomes[spec.trial] = outcomes
+        else:
+            outcomes = orbit_outcomes[representative]
+        for theorem, (status, failing_checks) in zip(config.theorems, outcomes):
+            tallies[theorem][column[status]] += 1
+            if status == STATUS_FAILED:
+                record = TrialRecord(
+                    theorem,
+                    spec.trial,
+                    status,
+                    failing_checks=failing_checks,
+                    spec=spec,
+                    p=engine.serialize(p),
+                    q=engine.serialize(q),
                 )
+            else:
+                record = TrialRecord(theorem, spec.trial, status)
+            records.append(record)
     records.sort(key=lambda r: (r.trial, THEOREM_IDS.index(r.theorem)))
     counts = {
         theorem: TheoremCounts(

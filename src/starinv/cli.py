@@ -150,6 +150,8 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             parser.error(str(exc))
     if args.n < 1:
         parser.error("--n must be positive")
+    if args.n * args.n > EXHAUSTIVE_CELL_CAP:
+        parser.error(f"--n {args.n} is too large: n*n must not exceed {EXHAUSTIVE_CELL_CAP}")
     if args.trials < 1:
         parser.error("--trials must be positive")
     config = CampaignConfig(

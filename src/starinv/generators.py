@@ -57,9 +57,15 @@ class SplitMix64:
         return mix64(self.state)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection."""
+        """Uniform integer in [0, bound) by rejection, for 0 < bound <= 2**64.
+
+        One 64-bit draw cannot cover a larger bound (every draw would be
+        rejected), so that raises ValueError instead of spinning.
+        """
         if bound <= 0:
             raise ValueError("bound must be positive")
+        if bound > 1 << 64:
+            raise ValueError(f"bound {bound} exceeds 2**64")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             u = self.next_u64()
@@ -258,3 +264,70 @@ def all_projections_matrix(n: int, field: Field) -> list[ExactMatrix]:
             raise AssertionError(f"enumerated a non-projection {e!r}")
     found.sort(key=lambda e: e.entries)
     return found
+
+
+def orthogonal_generators(n: int, field: PrimeField) -> list[ExactMatrix]:
+    """A few orthogonal n x n matrices (u u* = 1) over GF(p); O_n(p) is not built.
+
+    Each is u = I + c v v* for one vector v per line of GF(p)^n (first
+    nonzero entry 1).  Over GF(2), v has even weight (v.v = 0) and c = 1,
+    so u u* = I + (2 + v.v) v v* = I.  Over odd p, v is anisotropic
+    (v.v != 0) and c = -2 / v.v: the reflection in v.  The matrices
+    generate a subgroup of O_n(p); a subgroup is enough for orbit
+    reduction, since it only makes the orbits finer.
+    """
+    p = field.p
+    found = []
+    for lead in range(n):
+        for tail in itertools.product(range(p), repeat=n - lead - 1):
+            v = (0,) * lead + (1,) + tail
+            norm = sum(x * x for x in v) % p
+            if (norm == 0) != (p == 2):  # keep v.v = 0 over GF(2), v.v != 0 over odd p
+                continue
+            c = 1 if p == 2 else -2 * pow(norm, -1, p) % p
+            entries = [
+                (int(i == j) + c * a * b) % p for i, a in enumerate(v) for j, b in enumerate(v)
+            ]
+            found.append(ExactMatrix(field, n, n, entries))
+    return found
+
+
+def pair_orbits(projections: list[ExactMatrix], generators: list[ExactMatrix]) -> list[int]:
+    """Orbit representatives of the ordered pairs of ``projections``.
+
+    Pair (projections[i], projections[j]) has index i * m + j, the order
+    of a sweep over m projections.  Two pairs share an orbit when one is
+    carried to the other by simultaneous conjugation x -> u x u* with u
+    in the group the generators generate.  Entry k of the result is the
+    smallest pair index in pair k's orbit.
+
+    Each generator is replayed through u u* == 1 before use, and every
+    conjugate u e u* must be in the list (a *-automorphism maps
+    projections to projections); either failure raises AssertionError.
+    """
+    m = len(projections)
+    position = {e.entries: i for i, e in enumerate(projections)}
+    parent = list(range(m * m))
+
+    def root(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for u in generators:
+        u_star = u.star()
+        if u * u_star != u.one_like():
+            raise AssertionError(f"generator {u!r} is not orthogonal")
+        image = []
+        for e in projections:
+            index = position.get((u * e * u_star).entries)
+            if index is None:
+                raise AssertionError(f"conjugate of {e!r} by {u!r} is not an enumerated projection")
+            image.append(index)
+        for i, ui in enumerate(image):
+            for j, uj in enumerate(image):
+                a, b = root(i * m + j), root(ui * m + uj)
+                if a != b:  # the smaller root stays, so each root is its orbit's minimum
+                    parent[max(a, b)] = min(a, b)
+    return [root(k) for k in range(m * m)]

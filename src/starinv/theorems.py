@@ -40,17 +40,16 @@ class TheoremVerdict:
     """Outcome of one battery on one input.
 
     ``passed`` means applicable with no failing sub-check; sub-checks
-    marked not-applicable never count against it.  ``counterexample``
-    carries the serialized inputs whenever something failed, so a
-    failing trial can be replayed.  ``observations`` are informational
-    booleans recorded without being asserted.
+    marked not-applicable never count against it.  ``observations`` are
+    informational booleans recorded without being asserted.  A verdict
+    does not carry its inputs: a campaign record serializes the failing
+    pair itself, so a failing trial can be replayed.
     """
 
     theorem: str
     applicable: bool
     passed: bool
     checks: tuple[SubCheck, ...]
-    counterexample: dict | None = None
     observations: dict = field(default_factory=dict)
 
     def failing_checks(self) -> tuple[str, ...]:
@@ -97,9 +96,8 @@ def existence_profile(engine: InverseEngine, named_elements: dict) -> ExistenceP
 class _Verdict:
     """Accumulates sub-checks and builds the final TheoremVerdict."""
 
-    def __init__(self, theorem: str, payload: dict | None = None):
+    def __init__(self, theorem: str):
         self.theorem = theorem
-        self.payload = payload
         self._checks: list[SubCheck] = []
         self._observations: dict = {}
 
@@ -122,17 +120,8 @@ class _Verdict:
             applicable=applicable,
             passed=applicable and not failed,
             checks=tuple(self._checks),
-            counterexample=self.payload if failed else None,
             observations=self._observations,
         )
-
-
-def _pair_payload(ctx: ProjectionPairContext, engine: InverseEngine) -> dict:
-    return {"ring": engine.ring_id, "p": engine.serialize(ctx.p), "q": engine.serialize(ctx.q)}
-
-
-def _element_payload(r, engine: InverseEngine) -> dict:
-    return {"ring": engine.ring_id, "r": engine.serialize(r)}
 
 
 def _not_applicable(theorem: str) -> TheoremVerdict:
@@ -147,7 +136,7 @@ def lemma21_checks(r, engine: InverseEngine) -> TheoremVerdict:
     side.  On a *-reducing instance, MP invertibility of either product
     conversely recovers that of r.
     """
-    v = _Verdict("lemma21", _element_payload(r, engine))
+    v = _Verdict("lemma21")
     r_star = r.star()
     rsr = r_star * r
     rrs = r * r_star
@@ -209,7 +198,7 @@ def lemma22_identities(
 def lemma23_identities(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVerdict:
     """Projection and exchange identities gated on MP existence of
     p(1-q) and (1-p)q, plus the certified difference formula."""
-    v = _Verdict("lemma23", _pair_payload(ctx, engine))
+    v = _Verdict("lemma23")
     p_minus_a = ctx.p - ctx.a
     b, d = ctx.b, ctx.d
     has_pqbar = engine.mp(ctx.p * ctx.q_bar) is not None
@@ -310,7 +299,7 @@ def thm24_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremV
     p = ctx.p
     elements = _pair_elements(ctx)
     profile = existence_profile(engine, {name: elements[name] for name in _THM24_NAMES})
-    v = _Verdict("thm24", _pair_payload(ctx, engine))
+    v = _Verdict("thm24")
     v.check("existence_flags_agree", profile.all_agree())
     if profile.all_exist():
         dag_1pqp = profile.witness("1-pqp")
@@ -357,7 +346,7 @@ def cor25_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremV
     """Ten equivalent existence conditions on a *-reducing instance,
     with (p-pqp)^dag = (1-pq)^dag p when they hold."""
     profile = existence_profile(engine, _pair_elements(ctx))
-    v = _Verdict("cor25", _pair_payload(ctx, engine))
+    v = _Verdict("cor25")
     v.check("existence_flags_agree", profile.all_agree())
     if profile.all_exist():
         v.check("dagger_projection_formula",
@@ -391,7 +380,7 @@ def cor26_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremV
         "p-pq": p - pq,
     }
     sub = _pair_elements(ctx.complemented())
-    v = _Verdict("cor26", _pair_payload(ctx, engine))
+    v = _Verdict("cor26")
     v.check("substitution_route_matches_elements",
             all(d == s for d, s in zip(direct.values(), sub.values())))
     profile = existence_profile(engine, direct)
@@ -404,7 +393,7 @@ def cor26_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremV
 def thm27_check(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVerdict:
     """p(1-q) and (1-p)q are both MP invertible exactly when p - q is;
     and then (p(1-q))^dag = (p-q)^dag p.  Valid in any instance."""
-    v = _Verdict("thm27", _pair_payload(ctx, engine))
+    v = _Verdict("thm27")
     pq_bar = ctx.p * ctx.q_bar
     pbar_q = ctx.p_bar * ctx.q
     diff = ctx.p - ctx.q
@@ -427,7 +416,7 @@ def cor28_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremV
         "p-q": ctx.p - ctx.q,
         "(1-p)q": ctx.p_bar * ctx.q,
     })
-    v = _Verdict("cor28", _pair_payload(ctx, engine))
+    v = _Verdict("cor28")
     v.check("existence_flags_agree", profile.all_agree())
     return v.build(applicable=True)
 
@@ -443,7 +432,7 @@ def cor29_chains(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVe
         return _not_applicable("cor29")
     p, q, one = ctx.p, ctx.q, ctx.one
     p_bar, q_bar = ctx.p_bar, ctx.q_bar
-    v = _Verdict("cor29", _pair_payload(ctx, engine))
+    v = _Verdict("cor29")
 
     pq_bar_p = p * q_bar * p
     needed1 = {
@@ -504,7 +493,7 @@ def lemma210_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> Theor
         "1-p-q": ctx.one - ctx.p - ctx.q,
         "pq": ctx.p * ctx.q,
     })
-    v = _Verdict("lemma210", _pair_payload(ctx, engine))
+    v = _Verdict("lemma210")
     v.check("existence_flags_agree", profile.all_agree())
     return v.build(applicable=True)
 
@@ -517,7 +506,7 @@ def lemma211_check(ctx: ProjectionPairContext, engine: InverseEngine) -> Theorem
     invertible while bb* has index 1, so its truth value is recorded as
     an observation without being asserted.
     """
-    v = _Verdict("lemma211", _pair_payload(ctx, engine))
+    v = _Verdict("lemma211")
     b = ctx.b
     skew = b - b.star()
     gram = b * b.star()
@@ -542,7 +531,7 @@ def lemma211_check(ctx: ProjectionPairContext, engine: InverseEngine) -> Theorem
 def lemma212_check(r, engine: InverseEngine) -> TheoremVerdict:
     """Drazin invertibility passes from r + r^2 (or r - r^2) down to r,
     without increasing the index."""
-    v = _Verdict("lemma212", _element_payload(r, engine))
+    v = _Verdict("lemma212")
     r_sq = r * r
     r_result = engine.drazin(r)
     for label, shifted in (("sum", r + r_sq), ("difference", r - r_sq)):
@@ -563,7 +552,7 @@ def thm213_check(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVe
     p - q both are (on *-reducing instances).  No closed form for the
     commutator's dagger is constructed; existence on both sides comes
     from the engine."""
-    v = _Verdict("thm213", _pair_payload(ctx, engine))
+    v = _Verdict("thm213")
     pq, qp = ctx.p * ctx.q, ctx.q * ctx.p
     commutator_dag = engine.mp(pq - qp)
     pq_dag = engine.mp(pq)
@@ -582,7 +571,7 @@ def thm214_check(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVe
     """The anti-commutator pq + qp is MP invertible exactly when p + q
     and pq both are (on *-reducing instances); its dagger is then the
     certified product (p+q)^dag (p+q-1)^dag."""
-    v = _Verdict("thm214", _pair_payload(ctx, engine))
+    v = _Verdict("thm214")
     p, q, one = ctx.p, ctx.q, ctx.one
     anti = p * q + q * p
     anti_dag = engine.mp(anti)

@@ -8,7 +8,7 @@ from pathlib import Path
 import starinv
 from starinv import cli, generators
 from starinv.cli import counterexample_evidence, main
-from starinv.matrices import parse_matrix
+from starinv.matrices import ExactMatrix, parse_matrix
 from starinv.scalars import QQ
 
 
@@ -51,6 +51,18 @@ def test_verify_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "theorem,trial,status,failing_checks"
     assert len(lines) == 3
+
+
+def test_verify_rejects_oversized_n(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("built a matrix or ran a campaign for an oversized --n")
+
+    monkeypatch.setattr(ExactMatrix, "__init__", must_not_run)
+    monkeypatch.setattr(cli, "run_campaign", must_not_run)
+    for n in ("18446744073709551616", "2000"):  # n*n past the 2**20 cap
+        code, _, err = run_cli(capsys, "verify", "--ring", "q", "--n", n)
+        assert code == 2
+        assert "too large" in err
 
 
 def test_verify_usage_errors(capsys):

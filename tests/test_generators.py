@@ -50,6 +50,17 @@ def test_int_between_covers_range():
         rng.below(0)
 
 
+def test_below_rejects_bounds_past_one_draw():
+    rng = SplitMix64(5)
+    for draw in (lambda: rng.below(2**64 + 1), lambda: rng.int_between(-10**30, 10**30)):
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            draw()
+    assert rng.state == SplitMix64(5).state  # raised before drawing anything
+    reference = SplitMix64(5)
+    assert rng.below(2**64) == reference.next_u64()  # the largest bound one draw covers
+    assert rng.int_between(-(2**63), 2**63 - 1) == reference.next_u64() - 2**63
+
+
 @pytest.mark.parametrize("field,n", [(QQ, 4), (QI, 3), (GF3, 3)])
 def test_random_projection_rank_and_idempotence(field, n):
     ring = MatrixRing(field, n)

@@ -1,10 +1,11 @@
 """Report-equality gate: fixed campaigns keep byte-identical reports.
 
 Each digest is the SHA-256 of the JSON report with ``duration_seconds``
-removed.  The configs cover the example26 algebra, a sweep over a ring
-that is not *-reducing (gf:2, n = 3), a sweep over a *-reducing one
-(gf:3, n = 2) and seeded random campaigns over Q and over Q(i), each
-with all 14 batteries.
+removed.  The configs cover the example26 algebra, sweeps over rings
+that are not *-reducing (gf:2 and gf:3, n = 3), sweeps over *-reducing
+ones (gf:3 and gf:7, n = 2) and seeded random campaigns over Q and over
+Q(i), each with all 14 batteries.  The odd-p sweeps exercise the
+reflections that group their pairs into orbits.
 A refactor that changes any record, count or config field fails here.
 """
 import hashlib
@@ -25,7 +26,19 @@ DIGESTS = [
      "a65a8a5b43b086ddb46385db0b2be10b714518e66fecad971da8c5da40e8c5cc"),
     (CampaignConfig(ring="qi", n=3, trials=4, seed=7),
      "c4e46d7556bb3fc529ecf0d563bafcc8a80217d1bff3adc753cb9fd578308c7c"),
+    (CampaignConfig(ring="gf:3", n=3),
+     "e49c2f158332a29935b0a85ae5180ec08beec6bae1cdeb4b6d83e9df9fabdecb"),
+    (CampaignConfig(ring="gf:7", n=2),
+     "db60fd27a1e526d1dedefe7883c5acfc4248337938fa0f4fb345bff74792241d"),
 ]
+
+
+def _case_id(index: int) -> str:
+    """The ring id, plus the size when an earlier case used that ring."""
+    config = DIGESTS[index][0]
+    if any(c.ring == config.ring for c, _ in DIGESTS[:index]):
+        return f"{config.ring}-n{config.n}"
+    return config.ring
 
 
 def report_digest(config: CampaignConfig) -> str:
@@ -34,6 +47,6 @@ def report_digest(config: CampaignConfig) -> str:
     return hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("config, digest", DIGESTS, ids=[c.ring for c, _ in DIGESTS])
+@pytest.mark.parametrize("config, digest", DIGESTS, ids=[_case_id(i) for i in range(len(DIGESTS))])
 def test_report_digest_unchanged(config, digest):
     assert report_digest(config) == digest

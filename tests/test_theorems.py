@@ -529,7 +529,7 @@ class _LyingEngine:
         return self.inner.serialize(x)
 
 
-def test_failed_verdict_carries_counterexample(canonical):
+def test_failed_verdict_names_its_failing_checks(canonical):
     liar = _LyingEngine(ENGINE2)
     verdict = thm27_check(canonical, liar)
     # p - q is invertible but the engine denies p(1-q), so the
@@ -546,10 +546,7 @@ def test_failed_verdict_carries_counterexample(canonical):
             return self.inner.mp(x)
 
     verdict = thm27_check(canonical, HalfLiar(ENGINE2))
-    assert not verdict.passed
-    assert verdict.counterexample is not None
-    assert verdict.counterexample["ring"] == "q"
-    assert "ring Q" in verdict.counterexample["p"]
+    assert verdict.applicable and not verdict.passed
     assert verdict.failing_checks() == ("biconditional",)
 
 
