@@ -228,6 +228,7 @@ class StructureConstantAlgebra:
 
     def non_star_reducing_witness(self) -> AlgebraElement | None:
         """A nonzero a with a* a = 0, if the involution admits one."""
+        _require_desk_scale(self)
         for a in self.elements():
             if a.bits and (a.star() * a).bits == 0:
                 return a
@@ -333,6 +334,7 @@ def brute_force_drazin(
 
 def enumerate_projections(algebra: StructureConstantAlgebra) -> list[AlgebraElement]:
     """All self-adjoint idempotents, in lexicographic coefficient order."""
+    _require_desk_scale(algebra)
     found = [e for e in algebra.elements() if is_projection(e)]
     found.sort(key=lambda e: e.coefficients())
     return found

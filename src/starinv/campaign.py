@@ -3,8 +3,8 @@
 A campaign fixes a ring instance, a pair source (seeded random trials
 for the infinite matrix rings, exhaustive enumeration for the finite
 ones), and a list of battery ids.  Every trial is keyed by a TrialSpec
-so any recorded failure can be replayed exactly.  Aggregation is
-order-independent and records are kept sorted by trial index.
+so any recorded failure can be replayed exactly.  Records come out by
+trial index, and within a trial in the paper's order of battery ids.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import itertools
 import json
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ._version import __version__
 from .algebra import ExhaustiveEngine, enumerate_projections, example26_algebra
@@ -38,6 +38,9 @@ STATUS_FAILED = "failed"
 STATUS_NOT_APPLICABLE = "not_applicable"
 
 
+# Reports are written from these dataclasses' fields in declaration
+# order (CampaignReport.to_json), so field order is part of the report
+# format and a new field appears in every object of its kind.
 @dataclass(frozen=True)
 class CampaignConfig:
     ring: str
@@ -46,25 +49,6 @@ class CampaignConfig:
     seed: int = 0
     theorems: tuple[str, ...] = THEOREM_IDS
 
-    def to_dict(self) -> dict:
-        return {
-            "ring": self.ring,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "theorems": list(self.theorems),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CampaignConfig":
-        return cls(
-            ring=data["ring"],
-            n=data["n"],
-            trials=data["trials"],
-            seed=data["seed"],
-            theorems=tuple(data["theorems"]),
-        )
-
 
 @dataclass(frozen=True)
 class TheoremCounts:
@@ -72,18 +56,6 @@ class TheoremCounts:
     passed: int = 0
     failed: int = 0
     not_applicable: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "passed": self.passed,
-            "failed": self.failed,
-            "not_applicable": self.not_applicable,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TheoremCounts":
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -101,28 +73,15 @@ class TrialRecord:
     p: str | None = None
     q: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "trial": self.trial,
-            "status": self.status,
-            "failing_checks": list(self.failing_checks),
-            "spec": None if self.spec is None else self.spec.to_dict(),
-            "p": self.p,
-            "q": self.q,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrialRecord":
-        return cls(
-            theorem=data["theorem"],
-            trial=data["trial"],
-            status=data["status"],
-            failing_checks=tuple(data["failing_checks"]),
-            spec=None if data["spec"] is None else TrialSpec.from_dict(data["spec"]),
-            p=data["p"],
-            q=data["q"],
-        )
+def _rebuild(cls, data: dict, **converted):
+    """A report dataclass from a JSON object holding exactly its fields;
+    ``converted`` replaces the values JSON cannot carry as they are."""
+    names = {f.name for f in fields(cls)}
+    if data.keys() != names:
+        unmatched = sorted(data.keys() ^ names)
+        raise ValueError(f"{cls.__name__} keys missing or unknown: {unmatched}")
+    return cls(**{**data, **converted})
 
 
 @dataclass
@@ -145,24 +104,31 @@ class CampaignReport:
         payload = {
             "schema": self.schema,
             "tool": self.tool,
-            "config": self.config.to_dict(),
-            "theorems": {name: c.to_dict() for name, c in self.counts.items()},
-            "records": [r.to_dict() for r in self.records],
+            "config": self.config,
+            "theorems": self.counts,
+            "records": [vars(r) for r in self.records],
             "duration_seconds": self.duration_seconds,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, default=vars) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignReport":
         data = json.loads(text)
-        return cls(
-            schema=data["schema"],
-            tool=data["tool"],
-            config=CampaignConfig.from_dict(data["config"]),
-            counts={name: TheoremCounts.from_dict(c) for name, c in data["theorems"].items()},
-            records=tuple(TrialRecord.from_dict(r) for r in data["records"]),
-            duration_seconds=data["duration_seconds"],
+        config = data["config"]
+        data["config"] = _rebuild(CampaignConfig, config, theorems=tuple(config["theorems"]))
+        data["counts"] = {
+            name: _rebuild(TheoremCounts, c) for name, c in data.pop("theorems").items()
+        }
+        data["records"] = tuple(
+            _rebuild(
+                TrialRecord,
+                r,
+                failing_checks=tuple(r["failing_checks"]),
+                spec=None if r["spec"] is None else _rebuild(TrialSpec, r["spec"]),
+            )
+            for r in data["records"]
         )
+        return _rebuild(cls, data)
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -275,6 +241,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     engine = CachingEngine(inner)
     records: list[TrialRecord] = []
     tallies = {theorem: [0, 0, 0] for theorem in config.theorems}  # passed, failed, na
+    theorems = [theorem for theorem in THEOREM_IDS if theorem in tallies]  # record order
     column = {STATUS_PASSED: 0, STATUS_FAILED: 1, STATUS_NOT_APPLICABLE: 2}
     orbit_outcomes: dict[int, list] = {}
     for spec, p, q, representative in pairs:
@@ -284,13 +251,13 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             ctx = ProjectionPairContext(p, q)
             outcomes = [
                 _outcome(run_battery(theorem, ctx, engine, engine.star_reducing))
-                for theorem in config.theorems
+                for theorem in theorems
             ]
             if sweep:
                 orbit_outcomes[spec.trial] = outcomes
         else:
             outcomes = orbit_outcomes[representative]
-        for theorem, (status, failing_checks) in zip(config.theorems, outcomes):
+        for theorem, (status, failing_checks) in zip(theorems, outcomes):
             tallies[theorem][column[status]] += 1
             if status == STATUS_FAILED:
                 record = TrialRecord(
@@ -305,7 +272,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             else:
                 record = TrialRecord(theorem, spec.trial, status)
             records.append(record)
-    records.sort(key=lambda r: (r.trial, THEOREM_IDS.index(r.theorem)))
     counts = {
         theorem: TheoremCounts(
             checked=sum(tally), passed=tally[0], failed=tally[1], not_applicable=tally[2]

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failures or nonexistent inverse,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -121,12 +122,16 @@ def _render_counterexample(evidence: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_output(text: str, path: str | None):
+def _open_output(path: str | None):
+    """stdout, or path opened for writing, before any work is done; exit
+    code 2 when it cannot be opened."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {path}: {exc}\n")
+        raise SystemExit(2) from exc
 
 
 def _parse_ring(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
@@ -157,9 +162,9 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     config = CampaignConfig(
         ring=ring, n=args.n, trials=args.trials, seed=args.seed, theorems=theorems
     )
-    report = run_campaign(config)
-    text = report.to_json() if args.format == "json" else report.to_csv()
-    _write_output(text, args.out)
+    with _open_output(args.out) as out:
+        report = run_campaign(config)
+        out.write(report.to_json() if args.format == "json" else report.to_csv())
     return report.exit_code
 
 
@@ -179,24 +184,23 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     if args.kind in ("drazin", "group") and matrix.rows != matrix.cols:
         sys.stderr.write(f"error: {args.kind} inverse requires a square matrix\n")
         return 2
+    with _open_output(args.out) as out:
+        if args.kind == "mp":
+            result = mp_inverse(matrix)
+            failure_reason = "NotMPInvertible"
+        elif args.kind == "group":
+            result = group_inverse(matrix)
+            failure_reason = "NoGroupInverse"
+        else:
+            result, index = drazin_inverse(matrix)
+            sys.stderr.write(f"drazin index: {index}\n")
+            failure_reason = ""
 
-    if args.kind == "mp":
-        result = mp_inverse(matrix)
-        failure_reason = "NotMPInvertible"
-    elif args.kind == "group":
-        result = group_inverse(matrix)
-        failure_reason = "NoGroupInverse"
-    else:
-        witness, index = drazin_inverse(matrix)
-        sys.stderr.write(f"drazin index: {index}\n")
-        result = witness
-        failure_reason = ""
-
-    if result is None:
-        message = json.dumps({"error": failure_reason, "kind": args.kind}) + "\n"
-        sys.stdout.write(message)
-        return 1
-    _write_output(format_matrix(result), args.out)
+        if result is None:
+            message = json.dumps({"error": failure_reason, "kind": args.kind}) + "\n"
+            sys.stdout.write(message)
+            return 1
+        out.write(format_matrix(result))
     return 0
 
 

@@ -89,7 +89,8 @@ class TrialSpec:
     """Everything needed to regenerate one trial's projection pair.
 
     For exhaustively enumerated instances the ranks are None and the
-    trial index selects the pair directly.
+    trial index selects the pair directly.  Failure records carry it, so
+    its fields, in declaration order, are part of the report format.
     """
 
     ring: str
@@ -98,27 +99,6 @@ class TrialSpec:
     rank_q: int | None
     seed: int
     trial: int
-
-    def to_dict(self) -> dict:
-        return {
-            "ring": self.ring,
-            "n": self.n,
-            "rank_p": self.rank_p,
-            "rank_q": self.rank_q,
-            "seed": self.seed,
-            "trial": self.trial,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrialSpec":
-        return cls(
-            ring=data["ring"],
-            n=data["n"],
-            rank_p=data["rank_p"],
-            rank_q=data["rank_q"],
-            seed=data["seed"],
-            trial=data["trial"],
-        )
 
 
 def sample_entry(field: Field, rng: SplitMix64):

@@ -572,7 +572,7 @@ def thm214_check(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVe
     and pq both are (on *-reducing instances); its dagger is then the
     certified product (p+q)^dag (p+q-1)^dag."""
     v = _Verdict("thm214")
-    p, q, one = ctx.p, ctx.q, ctx.one
+    p, q = ctx.p, ctx.q
     anti = p * q + q * p
     anti_dag = engine.mp(anti)
     sum_dag = engine.mp(p + q)
@@ -580,9 +580,9 @@ def thm214_check(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVe
     v.check("biconditional",
             (anti_dag is not None) == (sum_dag is not None and pq_dag is not None))
     if sum_dag is not None and pq_dag is not None:
-        shift_dag = engine.mp(p + q - one)
-        if v.check("shifted_sum_mp_exists", shift_dag is not None):
-            w = sum_dag * shift_dag
+        # (p+q)^dag exists here, so the formula is None just when (p+q-1)^dag is
+        w = anticommutator_mp_formula(ctx, engine)
+        if v.check("shifted_sum_mp_exists", w is not None):
             v.check("anticommutator_formula_certified", verify_mp(anti, w).all)
             v.check("anticommutator_formula_unique", w == anti_dag)
         else:

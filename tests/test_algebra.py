@@ -14,7 +14,7 @@ from starinv.algebra import (
     format_algebra,
     parse_algebra,
 )
-from starinv.ring import is_projection, verify_drazin, verify_mp
+from starinv.ring import CachingEngine, is_projection, verify_drazin, verify_mp
 
 
 @pytest.fixture(scope="module")
@@ -162,18 +162,39 @@ def test_format_element(alg):
     assert alg.format_element(el(alg, "1", "X", "YXY")) == "1 + X + YXY"
 
 
-def test_brute_force_dim_cap():
-    # dim-17 product algebra: e_i e_j = delta_ij e_i, star = id,
-    # one = sum of all basis elements.  Valid, but over the scan cap.
-    dim = 17
+def product_algebra(dim):
+    # e_i e_j = delta_ij e_i, star = id, one = sum of all basis elements
     mul = [[(1 << i) if i == j else 0 for j in range(dim)] for i in range(dim)]
     star = [1 << i for i in range(dim)]
     one = (1 << dim) - 1
-    big = StructureConstantAlgebra(tuple(f"e{i}" for i in range(dim)), mul, star, one)
+    return StructureConstantAlgebra(tuple(f"e{i}" for i in range(dim)), mul, star, one)
+
+
+def test_brute_force_dim_cap():
+    big = product_algebra(17)  # valid, but over the scan cap
     with pytest.raises(TooLargeError):
         brute_force_mp(big, big.one_element())
     with pytest.raises(TooLargeError):
         brute_force_drazin(big, big.one_element())
+
+
+def test_algebra_scans_dim_cap(monkeypatch):
+    big = product_algebra(17)
+
+    def no_scan(self):
+        raise AssertionError("scanned elements past the cap")
+
+    monkeypatch.setattr(StructureConstantAlgebra, "elements", no_scan)
+    scans = {
+        "non_star_reducing_witness": big.non_star_reducing_witness,
+        "is_star_reducing": lambda: big.is_star_reducing,
+        "ExhaustiveEngine": lambda: ExhaustiveEngine(big).star_reducing,
+        "CachingEngine": lambda: CachingEngine(ExhaustiveEngine(big)).star_reducing,
+        "enumerate_projections": lambda: enumerate_projections(big),
+    }
+    for name, scan in scans.items():
+        with pytest.raises(TooLargeError):
+            scan()
 
 
 def test_generic_algebra_brute_force():

@@ -1,18 +1,23 @@
 """Campaign aggregation, report serialization, and determinism."""
+import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from starinv import campaign
 from starinv.campaign import (
     THEOREM_IDS,
     CampaignConfig,
     CampaignReport,
+    TrialRecord,
     parse_ring_id,
     run_campaign,
 )
+from starinv.generators import TrialSpec
 from starinv.scalars import TooLargeError
-from starinv.theorems import BATTERIES
+from starinv.theorems import BATTERIES, FAIL, PASS, SubCheck, TheoremVerdict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -110,6 +115,25 @@ def test_report_json_round_trip():
     assert set(payload["theorems"]) == set(THEOREM_IDS)
 
 
+@pytest.mark.parametrize("edit", ["drop_first_key", "add_key"])
+@pytest.mark.parametrize(
+    "path", [(), ("config",), ("theorems", "thm24"), ("records", 0), ("records", 2, "spec")]
+)
+def test_report_json_rejects_missing_and_unknown_keys(path, edit):
+    report = run_campaign(CampaignConfig(ring="q", n=2, trials=2, seed=1, theorems=("thm24",)))
+    failed = TrialRecord("thm24", 2, "failed", ("x",), TrialSpec("q", 2, 1, 1, 1, 2), "p", "q")
+    payload = json.loads(replace(report, records=report.records + (failed,)).to_json())
+    obj = payload
+    for key in path:
+        obj = obj[key]
+    if edit == "drop_first_key":
+        del obj[next(iter(obj))]
+    else:
+        obj["extra"] = 1
+    with pytest.raises(ValueError, match="missing or unknown"):
+        CampaignReport.from_json(json.dumps(payload))
+
+
 def test_report_csv_shape():
     report = run_campaign(CampaignConfig(ring="q", n=2, trials=3, seed=1, theorems=("lemma22",)))
     lines = report.to_csv().strip().splitlines()
@@ -122,3 +146,36 @@ def test_report_csv_shape():
 def test_campaign_qi_instance():
     report = run_campaign(CampaignConfig(ring="qi", n=2, trials=4, seed=3))
     assert report.exit_code == 0
+
+
+# No digest config fails, so these pin the bytes of failure records
+# (spec, p, q, failing_checks).  The theorem order is not the paper's:
+# records come out in paper order, counts in config order.
+PLANTED_ORDER = ("thm24", "lemma22", "lemma21")
+FAILURE_DIGESTS = [
+    (CampaignConfig(ring="gf:3", n=2, theorems=PLANTED_ORDER),
+     "76d8a4b51d4ce5b707242d7fa7df7fd7bcf8144d1ee77962313a51c6c45c65e3"),
+    (CampaignConfig(ring="q", n=2, trials=6, seed=11, theorems=PLANTED_ORDER),
+     "5e6be9f229b81d27ba0222c54aa8d5efd6057969599fd61ed87f88b7a627eccc"),
+]
+
+
+@pytest.mark.parametrize("config, digest", FAILURE_DIGESTS, ids=["gf:3", "q"])
+def test_failure_record_bytes_unchanged(monkeypatch, config, digest):
+    original = campaign.run_battery
+
+    def planted(theorem, ctx, engine, star_reducing):
+        if theorem != "lemma22" and ctx.p != ctx.q:
+            checks = (SubCheck("planted_b", FAIL), SubCheck("kept", PASS),
+                      SubCheck("planted_a", FAIL))
+            return TheoremVerdict(theorem, True, False, checks)
+        return original(theorem, ctx, engine, star_reducing)
+
+    monkeypatch.setattr(campaign, "run_battery", planted)
+    report = run_campaign(config)
+    text = report.to_json()
+    assert report.failures() and report.exit_code == 1
+    assert {r.failing_checks for r in report.failures()} == {("planted_b", "planted_a")}
+    head = text.rsplit('"duration_seconds"', 1)[0]  # the last key
+    assert hashlib.sha256(head.encode()).hexdigest() == digest
+    assert CampaignReport.from_json(text) == report

@@ -174,6 +174,29 @@ def test_inverse_writes_file(tmp_path, capsys):
     assert QQ.format(result.entry(0, 0).im) == "-1"
 
 
+def _unreachable(*args):
+    raise AssertionError("work started before --out was opened")
+
+
+def test_verify_unwritable_out_exits_2_before_the_campaign(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_campaign", _unreachable)
+    out = tmp_path / "missing" / "x.json"
+    code, stdout, err = run_cli(capsys, "verify", "--ring", "gf:2", "--n", "2", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: cannot write {out}: ")
+
+
+def test_inverse_unwritable_out_exits_2_before_solving(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "mp_inverse", _unreachable)
+    path = write_matrix(tmp_path, "ring Q\nrows 1\ncols 1\n2\n")
+    out = tmp_path / "missing" / "result.txt"
+    code, stdout, err = run_cli(capsys, "inverse", "--kind", "mp", "--in", path, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: cannot write {out}: ")
+
+
 # ------------------------------------------------------------ counterexample
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from starinv import theorems
 from starinv.algebra import ExhaustiveEngine, enumerate_projections, example26_algebra
 from starinv.generators import SplitMix64, random_projection
 from starinv.matrices import (
@@ -490,6 +491,12 @@ def test_thm214_canonical(canonical):
     assert w is not None
     assert verify_mp(anti, w).all
     assert w == mp_inverse(anti)
+
+
+def test_thm214_checks_the_public_formula(canonical, monkeypatch):
+    # the battery certifies exactly what anticommutator_mp_formula returns
+    monkeypatch.setattr(theorems, "anticommutator_mp_formula", lambda ctx, engine: None)
+    assert thm214_check(canonical, ENGINE2).failing_checks() == ("shifted_sum_mp_exists",)
 
 
 def test_thm214_zero_pair():
