@@ -74,14 +74,19 @@ class TrialRecord:
     q: str | None = None
 
 
-def _rebuild(cls, data: dict, **converted):
-    """A report dataclass from a JSON object holding exactly its fields;
-    ``converted`` replaces the values JSON cannot carry as they are."""
-    names = {f.name for f in fields(cls)}
-    if data.keys() != names:
-        unmatched = sorted(data.keys() ^ names)
+def _rebuild(cls, data, json_keys: dict | None = None, **convert):
+    """A report dataclass from a JSON object holding exactly its fields,
+    each under its name or the key ``json_keys`` gives it.  ``convert``
+    maps a field to the function that turns its JSON value into the
+    field's value; it runs only once the keys have been checked."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} is not a JSON object")
+    names = {(json_keys or {}).get(f.name, f.name): f.name for f in fields(cls)}
+    if data.keys() != names.keys():
+        unmatched = sorted(data.keys() ^ names.keys())
         raise ValueError(f"{cls.__name__} keys missing or unknown: {unmatched}")
-    return cls(**{**data, **converted})
+    values = {names[key]: value for key, value in data.items()}
+    return cls(**values | {name: fn(values[name]) for name, fn in convert.items()})
 
 
 @dataclass
@@ -113,22 +118,18 @@ class CampaignReport:
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignReport":
-        data = json.loads(text)
-        config = data["config"]
-        data["config"] = _rebuild(CampaignConfig, config, theorems=tuple(config["theorems"]))
-        data["counts"] = {
-            name: _rebuild(TheoremCounts, c) for name, c in data.pop("theorems").items()
-        }
-        data["records"] = tuple(
-            _rebuild(
-                TrialRecord,
-                r,
-                failing_checks=tuple(r["failing_checks"]),
-                spec=None if r["spec"] is None else _rebuild(TrialSpec, r["spec"]),
-            )
-            for r in data["records"]
+        def spec(data):
+            return None if data is None else _rebuild(TrialSpec, data)
+
+        def record(data):
+            return _rebuild(TrialRecord, data, failing_checks=tuple, spec=spec)
+
+        return _rebuild(
+            cls, json.loads(text), {"counts": "theorems"},
+            config=lambda data: _rebuild(CampaignConfig, data, theorems=tuple),
+            counts=lambda data: {name: _rebuild(TheoremCounts, c) for name, c in data.items()},
+            records=lambda data: tuple(map(record, data)),
         )
-        return _rebuild(cls, data)
 
     def to_csv(self) -> str:
         out = io.StringIO()

@@ -7,13 +7,14 @@ come from the engine, never from the statement being checked, and every
 constructed formula is certified against the defining equations before
 a verdict says it passed.
 
-BATTERIES is the one table of battery ids, in paper order.
-``run_battery`` dispatches through it and applies the *-reducing gate:
-batteries only claimed for *-reducing instances return an inapplicable
-verdict elsewhere instead of guessing.
+BATTERIES is the one table of battery ids, in paper order, and of each
+battery's sub-check names.  ``run_battery`` dispatches through it and
+applies the *-reducing gate: batteries only claimed for *-reducing
+instances return an inapplicable verdict elsewhere instead of guessing.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -57,25 +58,19 @@ class TheoremVerdict:
 
 
 @dataclass(frozen=True)
-class ExistenceEntry:
-    exists: bool
-    witness: object | None
-
-
-@dataclass(frozen=True)
 class ExistenceProfile:
-    """MP-existence flags, with witnesses, for a family of named elements."""
+    """MP witnesses, None where there is none, for a family of named elements."""
 
-    entries: dict
+    witnesses: dict
 
     def exists(self, name: str) -> bool:
-        return self.entries[name].exists
+        return self.witnesses[name] is not None
 
     def witness(self, name: str):
-        return self.entries[name].witness
+        return self.witnesses[name]
 
     def flags(self) -> tuple[bool, ...]:
-        return tuple(entry.exists for entry in self.entries.values())
+        return tuple(witness is not None for witness in self.witnesses.values())
 
     def all_agree(self) -> bool:
         flags = self.flags()
@@ -86,46 +81,45 @@ class ExistenceProfile:
 
 
 def existence_profile(engine: InverseEngine, named_elements: dict) -> ExistenceProfile:
-    entries = {}
-    for name, element in named_elements.items():
-        witness = engine.mp(element)
-        entries[name] = ExistenceEntry(witness is not None, witness)
-    return ExistenceProfile(entries)
+    return ExistenceProfile({name: engine.mp(element) for name, element in named_elements.items()})
+
+
+# A SubCheck is immutable, so verdicts share one per (name, status).
+_sub_check = functools.cache(SubCheck)
 
 
 class _Verdict:
-    """Accumulates sub-checks and builds the final TheoremVerdict."""
+    """Records sub-check outcomes and builds the final TheoremVerdict,
+    which lists ``BATTERIES[theorem].checks`` in order, the ones never
+    reached as not applicable; by default it applies if any was reached."""
 
     def __init__(self, theorem: str):
         self.theorem = theorem
-        self._checks: list[SubCheck] = []
+        self._status: dict[str, str] = {}
         self._observations: dict = {}
 
     def check(self, name: str, ok: bool) -> bool:
-        self._checks.append(SubCheck(name, PASS if ok else FAIL))
+        self._status[name] = PASS if ok else FAIL
         return ok
-
-    def na(self, name: str):
-        self._checks.append(SubCheck(name, NA))
 
     def observe(self, name: str, value):
         self._observations[name] = value
 
     def build(self, applicable: bool | None = None) -> TheoremVerdict:
+        declared = BATTERIES[self.theorem].checks
+        undeclared = self._status.keys() - declared
+        if undeclared:
+            raise AssertionError(
+                f"{self.theorem} recorded undeclared sub-checks {sorted(undeclared)}")
         if applicable is None:
-            applicable = any(c.status != NA for c in self._checks)
-        failed = any(c.status == FAIL for c in self._checks)
+            applicable = bool(self._status)
         return TheoremVerdict(
             theorem=self.theorem,
             applicable=applicable,
-            passed=applicable and not failed,
-            checks=tuple(self._checks),
+            passed=applicable and FAIL not in self._status.values(),
+            checks=tuple(_sub_check(name, self._status.get(name, NA)) for name in declared),
             observations=self._observations,
         )
-
-
-def _not_applicable(theorem: str) -> TheoremVerdict:
-    return TheoremVerdict(theorem=theorem, applicable=False, passed=False, checks=())
 
 
 def lemma21_checks(r, engine: InverseEngine) -> TheoremVerdict:
@@ -141,39 +135,21 @@ def lemma21_checks(r, engine: InverseEngine) -> TheoremVerdict:
     rsr = r_star * r
     rrs = r * r_star
     r_dag = engine.mp(r)
-    if r_dag is None:
-        for name in (
-            "star_product_mp_exists",
-            "product_star_mp_exists",
-            "star_product_dagger_factors",
-            "product_star_dagger_factors",
-            "dagger_from_star_product",
-            "dagger_from_product_star",
-            "star_dagger_exchange",
-        ):
-            v.na(name)
-    else:
+    if r_dag is not None:
         rsr_dag = engine.mp(rsr)
         rrs_dag = engine.mp(rrs)
         r_dag_star = r_dag.star()
         if v.check("star_product_mp_exists", rsr_dag is not None):
             v.check("star_product_dagger_factors", rsr_dag == r_dag * r_dag_star)
             v.check("dagger_from_star_product", r_dag == rsr_dag * r_star)
-        else:
-            v.na("star_product_dagger_factors")
-            v.na("dagger_from_star_product")
         if v.check("product_star_mp_exists", rrs_dag is not None):
             v.check("product_star_dagger_factors", rrs_dag == r_dag_star * r_dag)
             v.check("dagger_from_product_star", r_dag == r_star * rrs_dag)
-        else:
-            v.na("product_star_dagger_factors")
-            v.na("dagger_from_product_star")
         v.check("star_dagger_exchange", engine.mp(r_star) == r_dag_star)
     either_gram = engine.mp(rsr) is not None or engine.mp(rrs) is not None
     if engine.star_reducing:
         v.check("gram_membership_recovers_mp", (not either_gram) or r_dag is not None)
     else:
-        v.na("gram_membership_recovers_mp")
         v.observe("gram_invertible_without_r", either_gram and r_dag is None)
     return v.build(applicable=True)
 
@@ -201,31 +177,18 @@ def lemma23_identities(ctx: ProjectionPairContext, engine: InverseEngine) -> The
     v = _Verdict("lemma23")
     p_minus_a = ctx.p - ctx.a
     b, d = ctx.b, ctx.d
-    has_pqbar = engine.mp(ctx.p * ctx.q_bar) is not None
-    has_pbarq = engine.mp(ctx.p_bar * ctx.q) is not None
-    pa_dag = engine.mp(p_minus_a) if has_pqbar else None
-    d_dag = engine.mp(d) if has_pbarq else None
-
-    if has_pqbar and pa_dag is not None:
+    pa_dag = engine.mp(p_minus_a) if engine.mp(ctx.p * ctx.q_bar) is not None else None
+    d_dag = engine.mp(d) if engine.mp(ctx.p_bar * ctx.q) is not None else None
+    if pa_dag is not None:
         v.check("range_projection_fixes_b", p_minus_a * pa_dag * b == b)
-    else:
-        v.na("range_projection_fixes_b")
-    if has_pbarq and d_dag is not None:
+    if d_dag is not None:
         v.check("b_fixed_by_d_projection", b * d * d_dag == b)
-    else:
-        v.na("b_fixed_by_d_projection")
-    if has_pqbar and has_pbarq and pa_dag is not None and d_dag is not None:
+    if pa_dag is not None and d_dag is not None:
         v.check("b_dagger_exchange", b * d_dag == pa_dag * b)
         v.check("dagger_b_star_exchange", d_dag * b.star() == b.star() * pa_dag)
         w = diff_mp_formula(ctx, engine)
         if v.check("difference_formula_constructible", w is not None):
             v.check("difference_formula_certified", verify_mp(ctx.p - ctx.q, w).all)
-        else:
-            v.na("difference_formula_certified")
-    else:
-        for name in ("b_dagger_exchange", "dagger_b_star_exchange",
-                     "difference_formula_constructible", "difference_formula_certified"):
-            v.na(name)
     return v.build()
 
 
@@ -313,11 +276,6 @@ def thm24_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremV
         y = pxp_extraction(ctx, dag_1pq)
         v.check("corner_extraction_certified", verify_mp(elements["p-pqp"], y).all)
         v.check("corner_extraction_unique", y == dag_ppqp)
-    else:
-        for name in ("corner_of_shifted_dagger", "dagger_shift_identity",
-                     "explicit_formula_certified", "explicit_formula_unique",
-                     "corner_extraction_certified", "corner_extraction_unique"):
-            v.na(name)
     return v.build(applicable=True)
 
 
@@ -351,8 +309,6 @@ def cor25_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremV
     if profile.all_exist():
         v.check("dagger_projection_formula",
                 profile.witness("p-pqp") == profile.witness("1-pq") * ctx.p)
-    else:
-        v.na("dagger_projection_formula")
     return v.build(applicable=True)
 
 
@@ -404,8 +360,6 @@ def thm27_check(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVer
             ((dag_pq_bar is not None) and (dag_pbar_q is not None)) == (dag_diff is not None))
     if dag_diff is not None and dag_pq_bar is not None:
         v.check("difference_dagger_projection_formula", dag_pq_bar == dag_diff * ctx.p)
-    else:
-        v.na("difference_dagger_projection_formula")
     return v.build(applicable=True)
 
 
@@ -428,11 +382,11 @@ def _all_equal(values: list) -> bool:
 def cor29_chains(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVerdict:
     """Six expressions collapse to p (p-q)^dag p, and eight to the
     complementary form, once any of the equivalent conditions holds."""
+    v = _Verdict("cor29")
     if engine.mp(ctx.p * ctx.q_bar) is None:
-        return _not_applicable("cor29")
+        return v.build(applicable=False)
     p, q, one = ctx.p, ctx.q, ctx.one
     p_bar, q_bar = ctx.p_bar, ctx.q_bar
-    v = _Verdict("cor29")
 
     pq_bar_p = p * q_bar * p
     needed1 = {
@@ -454,8 +408,6 @@ def cor29_chains(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVe
             p * dags1["p-q"] * p,
         ]
         v.check("chain1_all_equal", _all_equal(chain1))
-    else:
-        v.na("chain1_all_equal")
 
     pbar_q_pbar = p_bar * q * p_bar
     needed2 = {
@@ -481,8 +433,6 @@ def cor29_chains(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVe
             p_bar * dags2["q-p"] * p_bar,
         ]
         v.check("chain2_all_equal", _all_equal(chain2))
-    else:
-        v.na("chain2_all_equal")
     return v.build(applicable=True)
 
 
@@ -520,11 +470,6 @@ def lemma211_check(ctx: ProjectionPairContext, engine: InverseEngine) -> Theorem
             square_index = square_result[1]
             v.check("guarded_index_bound", gram_index <= max(1, square_index))
             v.observe("literal_index_bound", gram_index <= square_index)
-        else:
-            v.na("guarded_index_bound")
-    else:
-        v.na("skew_square_drazin_exists")
-        v.na("guarded_index_bound")
     return v.build(applicable=True)
 
 
@@ -537,13 +482,9 @@ def lemma212_check(r, engine: InverseEngine) -> TheoremVerdict:
     for label, shifted in (("sum", r + r_sq), ("difference", r - r_sq)):
         shifted_result = engine.drazin(shifted)
         if shifted_result is None:
-            v.na(f"{label}_route_membership")
-            v.na(f"{label}_route_index_bound")
             continue
         if v.check(f"{label}_route_membership", r_result is not None):
             v.check(f"{label}_route_index_bound", r_result[1] <= shifted_result[1])
-        else:
-            v.na(f"{label}_route_index_bound")
     return v.build()
 
 
@@ -562,8 +503,6 @@ def thm213_check(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVe
     if diff_dag is not None:
         diff = ctx.p - ctx.q
         v.check("square_dagger_identity", engine.mp(diff * diff) == diff_dag * diff_dag)
-    else:
-        v.na("square_dagger_identity")
     return v.build(applicable=True)
 
 
@@ -585,13 +524,6 @@ def thm214_check(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVe
         if v.check("shifted_sum_mp_exists", w is not None):
             v.check("anticommutator_formula_certified", verify_mp(anti, w).all)
             v.check("anticommutator_formula_unique", w == anti_dag)
-        else:
-            v.na("anticommutator_formula_certified")
-            v.na("anticommutator_formula_unique")
-    else:
-        for name in ("shifted_sum_mp_exists", "anticommutator_formula_certified",
-                     "anticommutator_formula_unique"):
-            v.na(name)
     return v.build(applicable=True)
 
 
@@ -599,25 +531,48 @@ class Battery(NamedTuple):
     fn: Callable[..., TheoremVerdict]
     needs_star_reducing: bool
     element_level: bool  # applied to r = pq rather than to the pair
+    checks: tuple[str, ...]  # every sub-check name, in verdict order
 
 
 # The paper's checks, in paper order; README's check-id table holds the
 # same ids and *-reducing flags, and a test keeps the two in step.
 BATTERIES = {
-    "lemma21": Battery(lemma21_checks, False, True),
-    "lemma22": Battery(lemma22_identities, False, False),
-    "lemma23": Battery(lemma23_identities, False, False),
-    "thm24": Battery(thm24_battery, False, False),
-    "cor25": Battery(cor25_battery, True, False),
-    "cor26": Battery(cor26_battery, True, False),
-    "thm27": Battery(thm27_check, False, False),
-    "cor28": Battery(cor28_battery, True, False),
-    "cor29": Battery(cor29_chains, True, False),
-    "lemma210": Battery(lemma210_battery, True, False),
-    "lemma211": Battery(lemma211_check, False, False),
-    "lemma212": Battery(lemma212_check, False, True),
-    "thm213": Battery(thm213_check, True, False),
-    "thm214": Battery(thm214_check, True, False),
+    "lemma21": Battery(lemma21_checks, False, True, (
+        "star_product_mp_exists", "star_product_dagger_factors", "dagger_from_star_product",
+        "product_star_mp_exists", "product_star_dagger_factors", "dagger_from_product_star",
+        "star_dagger_exchange", "gram_membership_recovers_mp")),
+    "lemma22": Battery(lemma22_identities, False, False, (
+        "bb_star_quadratic", "b_star_b_quadratic", "d_b_star_exchange")),
+    "lemma23": Battery(lemma23_identities, False, False, (
+        "range_projection_fixes_b", "b_fixed_by_d_projection", "b_dagger_exchange",
+        "dagger_b_star_exchange", "difference_formula_constructible",
+        "difference_formula_certified")),
+    "thm24": Battery(thm24_battery, False, False, (
+        "existence_flags_agree", "corner_of_shifted_dagger", "dagger_shift_identity",
+        "explicit_formula_certified", "explicit_formula_unique",
+        "corner_extraction_certified", "corner_extraction_unique")),
+    "cor25": Battery(cor25_battery, True, False, (
+        "existence_flags_agree", "dagger_projection_formula")),
+    "cor26": Battery(cor26_battery, True, False, (
+        "substitution_route_matches_elements", "substitution_route_matches_flags",
+        "existence_flags_agree")),
+    "thm27": Battery(thm27_check, False, False, (
+        "biconditional", "difference_dagger_projection_formula")),
+    "cor28": Battery(cor28_battery, True, False, ("existence_flags_agree",)),
+    "cor29": Battery(cor29_chains, True, False, (
+        "chain1_daggers_exist", "chain1_all_equal", "chain2_daggers_exist",
+        "chain2_all_equal")),
+    "lemma210": Battery(lemma210_battery, True, False, ("existence_flags_agree",)),
+    "lemma211": Battery(lemma211_check, False, False, (
+        "drazin_biconditional", "skew_square_drazin_exists", "guarded_index_bound")),
+    "lemma212": Battery(lemma212_check, False, True, (
+        "sum_route_membership", "sum_route_index_bound",
+        "difference_route_membership", "difference_route_index_bound")),
+    "thm213": Battery(thm213_check, True, False, (
+        "biconditional", "square_dagger_identity")),
+    "thm214": Battery(thm214_check, True, False, (
+        "biconditional", "shifted_sum_mp_exists", "anticommutator_formula_certified",
+        "anticommutator_formula_unique")),
 }
 
 THEOREM_IDS = tuple(BATTERIES)
@@ -634,7 +589,7 @@ def run_battery(
     """
     if theorem not in BATTERIES:
         raise ValueError(f"unknown theorem id {theorem!r}")
-    fn, needs_star_reducing, element_level = BATTERIES[theorem]
-    if needs_star_reducing and not star_reducing:
-        return _not_applicable(theorem)
-    return fn(ctx.p * ctx.q if element_level else ctx, engine)
+    battery = BATTERIES[theorem]
+    if battery.needs_star_reducing and not star_reducing:
+        return _Verdict(theorem).build(applicable=False)
+    return battery.fn(ctx.p * ctx.q if battery.element_level else ctx, engine)

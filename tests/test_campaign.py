@@ -115,23 +115,38 @@ def test_report_json_round_trip():
     assert set(payload["theorems"]) == set(THEOREM_IDS)
 
 
-@pytest.mark.parametrize("edit", ["drop_first_key", "add_key"])
+@pytest.mark.parametrize("edit", ["drop_first_key", "add_key", "drop_each_key", "not_an_object"])
 @pytest.mark.parametrize(
     "path", [(), ("config",), ("theorems", "thm24"), ("records", 0), ("records", 2, "spec")]
 )
 def test_report_json_rejects_missing_and_unknown_keys(path, edit):
+    """Every malformed object raises ValueError, including a missing key
+    that from_json converts (records, config theorems, failing_checks,
+    spec) and a document that is not a JSON object."""
     report = run_campaign(CampaignConfig(ring="q", n=2, trials=2, seed=1, theorems=("thm24",)))
     failed = TrialRecord("thm24", 2, "failed", ("x",), TrialSpec("q", 2, 1, 1, 1, 2), "p", "q")
-    payload = json.loads(replace(report, records=report.records + (failed,)).to_json())
-    obj = payload
-    for key in path:
-        obj = obj[key]
-    if edit == "drop_first_key":
-        del obj[next(iter(obj))]
-    else:
-        obj["extra"] = 1
-    with pytest.raises(ValueError, match="missing or unknown"):
-        CampaignReport.from_json(json.dumps(payload))
+    text = replace(report, records=report.records + (failed,)).to_json()
+
+    def located(payload, path):
+        for key in path:
+            payload = payload[key]
+        return payload
+
+    keys = list(located(json.loads(text), path))
+    for drop in {"drop_first_key": keys[:1], "drop_each_key": keys}.get(edit, [None]):
+        payload = json.loads(text)
+        obj = located(payload, path)
+        if edit == "add_key":
+            obj["extra"] = 1
+        elif edit == "not_an_object" and path:
+            located(payload, path[:-1])[path[-1]] = list(obj.values())
+        elif edit == "not_an_object":
+            payload = list(obj.values())
+        else:
+            del obj[drop]
+        match = "not a JSON object" if edit == "not_an_object" else "missing or unknown"
+        with pytest.raises(ValueError, match=match):
+            CampaignReport.from_json(json.dumps(payload))
 
 
 def test_report_csv_shape():

@@ -5,15 +5,15 @@ import pytest
 
 from starinv import theorems
 from starinv.algebra import ExhaustiveEngine, enumerate_projections, example26_algebra
-from starinv.generators import SplitMix64, random_projection
+from starinv.generators import SplitMix64, all_projections_matrix, random_projection, trial_pair
 from starinv.matrices import (
     ExactMatrix,
     MatrixInverseEngine,
     MatrixRing,
     mp_inverse,
 )
-from starinv.ring import InvalidWitnessError, ProjectionPairContext, verify_mp
-from starinv.scalars import QI, QQ
+from starinv.ring import CachingEngine, InvalidWitnessError, ProjectionPairContext, verify_mp
+from starinv.scalars import QI, QQ, PrimeField
 from starinv.theorems import (
     anticommutator_mp_formula,
     cor25_battery,
@@ -562,3 +562,67 @@ def test_existence_profile_shape(canonical):
     assert profile.exists("pq")
     assert verify_mp(canonical.p * canonical.q, profile.witness("pq")).all
     assert profile.all_agree() and profile.all_exist()
+
+
+# ------------------------------------------------------- declared sub-checks
+
+
+@pytest.fixture(scope="module")
+def verdicts_on_sweeps(alg, alg_engine):
+    """Every battery, called directly and ungated, on the example26 sweep,
+    the gf:2 n=3 and gf:3 n=2 sweeps and 30 seeded q n=3 pairs."""
+    sources = [(enumerate_projections(alg), alg_engine)]
+    for p, n in ((2, 3), (3, 2)):
+        field = PrimeField(p)
+        ring = MatrixRing(field, n)
+        sources.append((all_projections_matrix(n, field), MatrixInverseEngine(ring)))
+    verdicts = []
+    for projections, engine in sources:
+        pairs = [ProjectionPairContext(p, q) for p in projections for q in projections]
+        verdicts += _all_batteries(pairs, CachingEngine(engine))
+    ring = MatrixRing(QQ, 3)
+    pairs = [ProjectionPairContext(*trial_pair(ring, 1, t)[1:]) for t in range(30)]
+    return verdicts + _all_batteries(pairs, CachingEngine(MatrixInverseEngine(ring)))
+
+
+def _all_batteries(pairs, engine):
+    return [
+        battery.fn(ctx.p * ctx.q if battery.element_level else ctx, engine)
+        for ctx in pairs
+        for battery in theorems.BATTERIES.values()
+    ]
+
+
+def test_verdicts_list_declared_checks_in_order(verdicts_on_sweeps):
+    for verdict in verdicts_on_sweeps:
+        names = tuple(c.name for c in verdict.checks)
+        assert names == theorems.BATTERIES[verdict.theorem].checks, verdict.theorem
+
+
+def test_every_declared_check_is_reached(verdicts_on_sweeps):
+    reached = {
+        (verdict.theorem, c.name)
+        for verdict in verdicts_on_sweeps
+        for c in verdict.checks
+        if c.status != theorems.NA
+    }
+    declared = {(t, name) for t, b in theorems.BATTERIES.items() for name in b.checks}
+    assert declared - reached == set()
+
+
+def test_gated_verdict_lists_every_check_not_applicable(canonical):
+    for theorem, battery in theorems.BATTERIES.items():
+        if battery.needs_star_reducing:
+            verdict = run_battery(theorem, canonical, ENGINE2, False)
+            assert not verdict.applicable and not verdict.passed
+            assert verdict.checks == tuple(
+                theorems.SubCheck(name, theorems.NA) for name in battery.checks
+            )
+
+
+def test_undeclared_check_is_refused():
+    v = theorems._Verdict("cor28")
+    v.check("existence_flags_agree", True)
+    v.check("not_declared", True)
+    with pytest.raises(AssertionError, match="not_declared"):
+        v.build()
