@@ -14,7 +14,7 @@ import itertools
 import json
 import re
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from ._version import __version__
 from .algebra import ExhaustiveEngine, enumerate_projections, example26_algebra
@@ -74,19 +74,38 @@ class TrialRecord:
     q: str | None = None
 
 
+# The JSON values a field annotated as an integer accepts (annotations
+# are strings here and in generators); bool is excluded, as JSON true
+# and false are not integers.
+_INTEGER_TYPES = {"int": (int,), "int | None": (int, type(None))}
+
+
 def _rebuild(cls, data, json_keys: dict | None = None, **convert):
     """A report dataclass from a JSON object holding exactly its fields,
-    each under its name or the key ``json_keys`` gives it.  ``convert``
-    maps a field to the function that turns its JSON value into the
-    field's value; it runs only once the keys have been checked."""
+    each under its name or the key ``json_keys`` gives it.  A field
+    annotated ``int`` must hold a JSON integer.  ``convert`` maps a
+    field to the function that turns its JSON value into the field's
+    value; it runs only once the keys and integers have been checked."""
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} is not a JSON object")
-    names = {(json_keys or {}).get(f.name, f.name): f.name for f in fields(cls)}
+    declared = fields(cls)
+    names = {(json_keys or {}).get(f.name, f.name): f.name for f in declared}
     if data.keys() != names.keys():
         unmatched = sorted(data.keys() ^ names.keys())
         raise ValueError(f"{cls.__name__} keys missing or unknown: {unmatched}")
     values = {names[key]: value for key, value in data.items()}
+    for f in declared:
+        allowed = _INTEGER_TYPES.get(f.type)
+        if allowed and type(values[f.name]) not in allowed:
+            raise ValueError(f"{cls.__name__} {f.name} is not an integer: {values[f.name]!r:.40}")
     return cls(**values | {name: fn(values[name]) for name, fn in convert.items()})
+
+
+def _json_array(data, of: type = object) -> tuple:
+    """A JSON array whose elements are all instances of ``of``, as a tuple."""
+    if not isinstance(data, list) or not all(isinstance(x, of) for x in data):
+        raise ValueError(f"not a JSON array of {of.__name__}: {data!r:.40}")
+    return tuple(data)
 
 
 @dataclass
@@ -106,29 +125,71 @@ class CampaignReport:
         return 0 if all(c.failed == 0 for c in self.counts.values()) else 1
 
     def to_json(self) -> str:
-        payload = {
-            "schema": self.schema,
-            "tool": self.tool,
-            "config": self.config,
-            "theorems": self.counts,
-            "records": [vars(r) for r in self.records],
-            "duration_seconds": self.duration_seconds,
-        }
-        return json.dumps(payload, indent=2, default=vars) + "\n"
+        """The report as ``json.dumps(..., indent=2, default=vars)`` would
+        write it with the records as ``vars(r)`` dicts, byte for byte.
+
+        Every fragment comes from ``json.dumps`` itself.  A record
+        without a spec is written from one shared encoding per distinct
+        record minus its trial, split around the trial number; a record
+        with a spec is dumped whole.  Records sit two levels deep, so
+        their layout newlines gain four spaces (a newline inside a JSON
+        string is escaped, so every raw one is layout).  The pieces are
+        joined once.
+        """
+        head = json.dumps(
+            {
+                "schema": self.schema,
+                "tool": self.tool,
+                "config": self.config,
+                "theorems": self.counts,
+                "records": [],
+                "duration_seconds": self.duration_seconds,
+            },
+            indent=2,
+            default=vars,
+        )
+        before, _, after = head.rpartition('"records": []')
+        pieces = [before, '"records": [']
+        shared: dict[tuple, tuple[str, str]] = {}
+        for r in self.records:
+            if r.spec is None:
+                key = (r.theorem, r.status, r.failing_checks, r.p, r.q)
+                fragment = shared.get(key)
+                if fragment is None:
+                    text = json.dumps(vars(replace(r, trial=0)), indent=2)
+                    start, _, end = text.replace("\n", "\n    ").partition('"trial": 0')
+                    fragment = shared[key] = (start + '"trial": ', end)
+                pieces += (",\n    ", fragment[0], str(r.trial), fragment[1])
+            else:
+                text = json.dumps(vars(r), indent=2, default=vars)
+                pieces += (",\n    ", text.replace("\n", "\n    "))
+        if self.records:
+            pieces[2] = "\n    "  # no comma before the first record
+            pieces.append("\n  ")
+        pieces += ("]", after, "\n")
+        return "".join(pieces)
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignReport":
         def spec(data):
             return None if data is None else _rebuild(TrialSpec, data)
 
+        def strings(data):
+            return _json_array(data, str)
+
         def record(data):
-            return _rebuild(TrialRecord, data, failing_checks=tuple, spec=spec)
+            return _rebuild(TrialRecord, data, failing_checks=strings, spec=spec)
+
+        def counts(data):
+            if not isinstance(data, dict):
+                raise ValueError(f"theorems is not a JSON object: {data!r:.40}")
+            return {name: _rebuild(TheoremCounts, c) for name, c in data.items()}
 
         return _rebuild(
             cls, json.loads(text), {"counts": "theorems"},
-            config=lambda data: _rebuild(CampaignConfig, data, theorems=tuple),
-            counts=lambda data: {name: _rebuild(TheoremCounts, c) for name, c in data.items()},
-            records=lambda data: tuple(map(record, data)),
+            config=lambda data: _rebuild(CampaignConfig, data, theorems=strings),
+            counts=counts,
+            records=lambda data: tuple(map(record, _json_array(data))),
         )
 
     def to_csv(self) -> str:

@@ -18,6 +18,7 @@ from starinv.campaign import (
 from starinv.generators import TrialSpec
 from starinv.scalars import TooLargeError
 from starinv.theorems import BATTERIES, FAIL, PASS, SubCheck, TheoremVerdict
+from test_report_digests import DIGESTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -115,6 +116,39 @@ def test_report_json_round_trip():
     assert set(payload["theorems"]) == set(THEOREM_IDS)
 
 
+def _oracle_to_json(report):
+    """The report as one full ``json.dumps``: the encoder ``to_json``
+    must match byte for byte."""
+    payload = {
+        "schema": report.schema,
+        "tool": report.tool,
+        "config": report.config,
+        "theorems": report.counts,
+        "records": [vars(r) for r in report.records],
+        "duration_seconds": report.duration_seconds,
+    }
+    return json.dumps(payload, indent=2, default=vars) + "\n"
+
+
+@pytest.mark.parametrize(
+    "config, edit",
+    [(config, None) for config, _ in DIGESTS]
+    + [(DIGESTS[0][0], "no_records"), (DIGESTS[3][0], "awkward_failure")],
+    ids=[f"{c.ring}-n{c.n}" for c, _ in DIGESTS] + ["no_records", "awkward_failure"],
+)
+def test_to_json_matches_full_dump(config, edit):
+    report = run_campaign(config)
+    if edit == "no_records":
+        report = replace(report, records=())
+    elif edit == "awkward_failure":  # pair text that needs escaping
+        awkward = 'a "quoted" \\ back\nslash \u00e9\u2020'
+        failed = TrialRecord("thm24", 7, "failed", ("first", "second"),
+                             TrialSpec("q", 2, 1, 0, 3, 7), awkward, awkward[::-1])
+        report = replace(report, records=report.records + (failed,))
+    assert report.to_json() == _oracle_to_json(report)
+    assert CampaignReport.from_json(report.to_json()) == report
+
+
 @pytest.mark.parametrize("edit", ["drop_first_key", "add_key", "drop_each_key", "not_an_object"])
 @pytest.mark.parametrize(
     "path", [(), ("config",), ("theorems", "thm24"), ("records", 0), ("records", 2, "spec")]
@@ -147,6 +181,30 @@ def test_report_json_rejects_missing_and_unknown_keys(path, edit):
         match = "not a JSON object" if edit == "not_an_object" else "missing or unknown"
         with pytest.raises(ValueError, match=match):
             CampaignReport.from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("theorems",), []),
+        (("records",), None),
+        (("records", 0, "failing_checks"), 5),
+        (("config", "theorems"), 5),
+        (("config", "theorems"), "thm24"),
+        (("records", 0, "trial"), "x"),
+    ],
+    ids=["counts-list", "records-null", "failing-checks-int", "config-theorems-int",
+         "config-theorems-string", "trial-string"],
+)
+def test_report_json_rejects_wrong_value_types(path, value):
+    report = run_campaign(CampaignConfig(ring="q", n=2, trials=2, seed=1, theorems=("thm24",)))
+    payload = json.loads(report.to_json())
+    obj = payload
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    with pytest.raises(ValueError, match="not a JSON|not an integer"):
+        CampaignReport.from_json(json.dumps(payload))
 
 
 def test_report_csv_shape():
@@ -189,6 +247,7 @@ def test_failure_record_bytes_unchanged(monkeypatch, config, digest):
     monkeypatch.setattr(campaign, "run_battery", planted)
     report = run_campaign(config)
     text = report.to_json()
+    assert text == _oracle_to_json(report)
     assert report.failures() and report.exit_code == 1
     assert {r.failing_checks for r in report.failures()} == {("planted_b", "planted_a")}
     head = text.rsplit('"duration_seconds"', 1)[0]  # the last key
