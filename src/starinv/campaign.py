@@ -9,6 +9,7 @@ trial index, and within a trial in the paper's order of battery ids.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -80,25 +81,37 @@ class TrialRecord:
 _INTEGER_TYPES = {"int": (int,), "int | None": (int, type(None))}
 
 
-def _rebuild(cls, data, json_keys: dict | None = None, **convert):
+@functools.cache
+def _plan(cls, json_keys: tuple) -> tuple[dict, tuple]:
+    """How to read ``cls`` from JSON, worked out once per class: its
+    field name by JSON key, and the (field, accepted types) checks of
+    the fields annotated as integers."""
+    renamed = dict(json_keys)
+    declared = fields(cls)
+    names = {renamed.get(f.name, f.name): f.name for f in declared}
+    integers = tuple((f.name, _INTEGER_TYPES[f.type]) for f in declared if f.type in _INTEGER_TYPES)
+    return names, integers
+
+
+def _rebuild(cls, data, json_keys: tuple = (), **convert):
     """A report dataclass from a JSON object holding exactly its fields,
-    each under its name or the key ``json_keys`` gives it.  A field
+    each under its name or the key ``json_keys`` pairs it with.  A field
     annotated ``int`` must hold a JSON integer.  ``convert`` maps a
     field to the function that turns its JSON value into the field's
     value; it runs only once the keys and integers have been checked."""
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} is not a JSON object")
-    declared = fields(cls)
-    names = {(json_keys or {}).get(f.name, f.name): f.name for f in declared}
+    names, integers = _plan(cls, json_keys)
     if data.keys() != names.keys():
         unmatched = sorted(data.keys() ^ names.keys())
         raise ValueError(f"{cls.__name__} keys missing or unknown: {unmatched}")
-    values = {names[key]: value for key, value in data.items()}
-    for f in declared:
-        allowed = _INTEGER_TYPES.get(f.type)
-        if allowed and type(values[f.name]) not in allowed:
-            raise ValueError(f"{cls.__name__} {f.name} is not an integer: {values[f.name]!r:.40}")
-    return cls(**values | {name: fn(values[name]) for name, fn in convert.items()})
+    values = {names[key]: value for key, value in data.items()} if json_keys else dict(data)
+    for name, allowed in integers:
+        if type(values[name]) not in allowed:
+            raise ValueError(f"{cls.__name__} {name} is not an integer: {values[name]!r:.40}")
+    for name, fn in convert.items():
+        values[name] = fn(values[name])
+    return cls(**values)
 
 
 def _json_array(data, of: type = object) -> tuple:
@@ -186,7 +199,7 @@ class CampaignReport:
             return {name: _rebuild(TheoremCounts, c) for name, c in data.items()}
 
         return _rebuild(
-            cls, json.loads(text), {"counts": "theorems"},
+            cls, json.loads(text), (("counts", "theorems"),),
             config=lambda data: _rebuild(CampaignConfig, data, theorems=strings),
             counts=counts,
             records=lambda data: tuple(map(record, _json_array(data))),

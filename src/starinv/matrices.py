@@ -12,9 +12,10 @@ over a prime field "no MP inverse" is ordinary data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Sequence
 
-from .kernels import multiply, row_reduce
+from .kernels import canonical, kernel
 from .scalars import Field, GaussianRationalField, PrimeField, RationalField
 
 
@@ -38,19 +39,21 @@ class MatrixParseError(ValueError):
 
 
 class ExactMatrix:
-    """Immutable dense matrix with entries in one exact field."""
+    """Immutable dense matrix with entries in one exact field.
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    Entries are stored packed (``starinv.kernels``): integers ``num``
+    over one positive ``den`` with gcd(*num, den) == 1, so equality and
+    hashing compare the packed form.  ``entries`` builds the field's
+    scalars on first use and keeps them.
+    """
 
-    def __init__(self, field: Field, rows: int, cols: int, entries: Sequence):
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix dimensions must be positive")
+    __slots__ = ("field", "rows", "cols", "num", "den", "_entries")
+
+    def __new__(cls, field: Field, rows: int, cols: int, entries: Sequence):
+        _check_shape(rows, cols)
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(entries))
+        return _packed(field, rows, cols, *kernel(field).pack(field, entries))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -68,12 +71,26 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "ExactMatrix":
-        return cls(field, rows, cols, [field.zero()] * (rows * cols))
+        _check_shape(rows, cols)
+        return _packed(field, rows, cols, (0,) * (rows * cols * kernel(field).parts), 1)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "ExactMatrix":
-        z, o = field.zero(), field.one()
-        return cls(field, n, n, [o if i == j else z for i in range(n) for j in range(n)])
+        _check_shape(n, n)
+        num = [0] * (n * n * kernel(field).parts)
+        num[: n * n : n + 1] = [1] * n
+        return _packed(field, n, n, tuple(num), 1)
+
+    @property
+    def entries(self) -> tuple:
+        """Row-major field scalars (the residues themselves over GF(p))."""
+        try:
+            return self._entries
+        except AttributeError:
+            f = self.field
+            entries = kernel(f).unpack(f, self.num, self.den)
+            _set_entries(self, entries)
+            return entries
 
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
@@ -85,7 +102,7 @@ class ExactMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def _same_shape(self, other: "ExactMatrix"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("field mismatch")
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
@@ -93,31 +110,28 @@ class ExactMatrix:
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_shape(other)
         f = self.field
-        return ExactMatrix(
-            f, self.rows, self.cols,
-            [f.add(a, b) for a, b in zip(self.entries, other.entries)],
-        )
+        packed = kernel(f).add(f, self.num, self.den, other.num, other.den)
+        return _packed(f, self.rows, self.cols, *packed)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_shape(other)
         f = self.field
-        return ExactMatrix(
-            f, self.rows, self.cols,
-            [f.sub(a, b) for a, b in zip(self.entries, other.entries)],
-        )
+        packed = kernel(f).sub(f, self.num, self.den, other.num, other.den)
+        return _packed(f, self.rows, self.cols, *packed)
 
     def __neg__(self) -> "ExactMatrix":
-        f = self.field
-        return ExactMatrix(f, self.rows, self.cols, [f.neg(a) for a in self.entries])
+        return ExactMatrix.zeros(self.field, self.rows, self.cols) - self
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.field != other.field:
+        f = self.field
+        if f is not other.field and f != other.field:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        f = self.field
-        entries = multiply(f, self.entries, self.cols, other.entries, other.cols)
-        return ExactMatrix(f, self.rows, other.cols, entries)
+        packed = kernel(f).multiply(
+            f, self.num, self.den, self.cols, other.num, other.den, other.cols
+        )
+        return _packed(f, self.rows, other.cols, *packed)
 
     def scale(self, s) -> "ExactMatrix":
         f = self.field
@@ -127,8 +141,8 @@ class ExactMatrix:
     def star(self) -> "ExactMatrix":
         """Entrywise-conjugate transpose."""
         f = self.field
-        out = [f.conj(self.entry(i, j)) for j in range(self.cols) for i in range(self.rows)]
-        return ExactMatrix(f, self.cols, self.rows, out)
+        num = kernel(f).star(f, self.num, self.rows, self.cols)
+        return _packed(f, self.cols, self.rows, num, self.den)
 
     def one_like(self) -> "ExactMatrix":
         if self.rows != self.cols:
@@ -136,19 +150,20 @@ class ExactMatrix:
         return ExactMatrix.identity(self.field, self.rows)
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self.num)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExactMatrix)
-            and self.field == other.field
+            and self.num == other.num
+            and self.den == other.den
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.field == other.field
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.rows, self.cols, self.entries))
+        return hash((self.field, self.rows, self.cols, self.num, self.den))
 
     def __repr__(self) -> str:
         f = self.field
@@ -156,20 +171,65 @@ class ExactMatrix:
         return f"ExactMatrix({f.label}: {body})"
 
 
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 1 or cols < 1:
+        raise ValueError("matrix dimensions must be positive")
+
+
+_new = object.__new__
+_set_field, _set_rows, _set_cols, _set_num, _set_den, _set_entries = (
+    vars(ExactMatrix)[name].__set__ for name in ExactMatrix.__slots__
+)
+
+
+def _packed(field: Field, rows: int, cols: int, num: tuple, den: int) -> ExactMatrix:
+    """A matrix from a canonical packed form, unchecked."""
+    m = _new(ExactMatrix)
+    _set_field(m, field)
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_num(m, num)
+    _set_den(m, den)
+    return m
+
+
+def _blocks(a: ExactMatrix) -> range:
+    """Offsets of a's integer blocks in a.num (two over Q(i), else one)."""
+    size = a.rows * a.cols
+    return range(0, len(a.num), size)
+
+
+def _pick(a: ExactMatrix, rows: int, cols: int, indices: list[int]) -> ExactMatrix:
+    """The rows x cols matrix of a's entries at the given row-major indices."""
+    src = a.num
+    num = [src[off + k] for off in _blocks(a) for k in indices]
+    return _packed(a.field, rows, cols, *canonical(num, a.den))
+
+
 def _hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """[a b]; canonical as it stands, since a and b are."""
     if a.rows != b.rows:
         raise ValueError("row mismatch")
-    entries = [e for i in range(a.rows) for e in a.row(i) + b.row(i)]
-    return ExactMatrix(a.field, a.rows, a.cols + b.cols, entries)
+    an, bn, den = a.num, b.num, a.den
+    if b.den != den:
+        den = lcm(a.den, b.den)
+        an = [x * (den // a.den) for x in an]
+        bn = [x * (den // b.den) for x in bn]
+    m, ac, bc = a.rows, a.cols, b.cols
+    num: list[int] = []
+    for oa, ob in zip(_blocks(a), _blocks(b)):
+        for i in range(m):
+            num += an[oa + i * ac : oa + (i + 1) * ac]
+            num += bn[ob + i * bc : ob + (i + 1) * bc]
+    return _packed(a.field, m, ac + bc, tuple(num), den)
 
 
 def _submatrix(a: ExactMatrix, rows: range, cols: range) -> ExactMatrix:
-    return ExactMatrix(a.field, len(rows), len(cols), [a.entry(i, j) for i in rows for j in cols])
+    return _pick(a, len(rows), len(cols), [i * a.cols + j for i in rows for j in cols])
 
 
 def _columns(a: ExactMatrix, indices: Sequence[int]) -> ExactMatrix:
-    entries = [a.entry(i, j) for i in range(a.rows) for j in indices]
-    return ExactMatrix(a.field, a.rows, len(indices), entries)
+    return _pick(a, a.rows, len(indices), [i * a.cols + j for i in range(a.rows) for j in indices])
 
 
 def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, int, tuple[int, ...]]:
@@ -183,8 +243,8 @@ def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, int, tuple[int, ...]]:
         columns and pivots lists the pivot column indices in order.
     """
     f, m, n = matrix.field, matrix.rows, matrix.cols
-    entries, r, pivots = row_reduce(f, matrix.entries, m, n)
-    return ExactMatrix(f, m, n, entries), r, tuple(pivots)
+    num, den, r, pivots = kernel(f).rref(f, matrix.num, m, n)
+    return _packed(f, m, n, num, den), r, tuple(pivots)
 
 
 def rank(matrix: ExactMatrix) -> int:
@@ -204,21 +264,24 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix | None:
 
 
 def null_space_basis(matrix: ExactMatrix) -> ExactMatrix | None:
-    """Columns spanning the right null space, or None when it is trivial."""
-    f = matrix.field
+    """Columns spanning the right null space, or None when it is trivial.
+
+    Column t is the unit vector at the t-th free column minus that
+    column's entries of the RREF at the pivot rows.
+    """
     n = matrix.cols
     reduced, _, pivots = rref(matrix)
     free = [j for j in range(n) if j not in pivots]
     if not free:
         return None
-    cols = []
-    for fc in free:
-        vec = [f.zero()] * n
-        vec[fc] = f.one()
-        for i, pc in enumerate(pivots):
-            vec[pc] = f.neg(reduced.entry(i, fc))
-        cols.append(vec)
-    return ExactMatrix(f, n, len(free), [col[i] for i in range(n) for col in cols])
+    neg, den, width = (-reduced).num, reduced.den, len(free)
+    num = [0] * (len(neg) // matrix.rows * width)
+    for t, fc in enumerate(free):
+        num[fc * width + t] = den  # the unit, over den, in the first block
+        for src, dst in zip(_blocks(reduced), range(0, len(num), n * width)):
+            for i, pc in enumerate(pivots):
+                num[dst + pc * width + t] = neg[src + i * n + fc]
+    return _packed(matrix.field, n, width, *canonical(num, den))
 
 
 @dataclass(frozen=True)
@@ -310,9 +373,12 @@ def drazin_inverse(matrix: ExactMatrix) -> tuple[ExactMatrix, int]:
     c_block = _submatrix(core, range(r), range(r))
     c_inv = inverse(c_block)
     assert c_inv is not None
-    z = f.zero()
-    block = [c_inv.entry(i, j) if i < r and j < r else z for i in range(n) for j in range(n)]
-    return s * ExactMatrix(f, n, n, block) * s_inv, k
+    # diag(C^-1, 0), block by block; canonical as C^-1 is
+    c, block = c_inv.num, [0] * (len(c_inv.num) // (r * r) * n * n)
+    for src, dst in zip(_blocks(c_inv), range(0, len(block), n * n)):
+        for i in range(r):
+            block[dst + i * n : dst + i * n + r] = c[src + i * r : src + (i + 1) * r]
+    return s * _packed(f, n, n, tuple(block), c_inv.den) * s_inv, k
 
 
 def group_inverse(matrix: ExactMatrix) -> ExactMatrix | None:

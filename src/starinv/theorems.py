@@ -70,7 +70,7 @@ class ExistenceProfile:
         return self.witnesses[name]
 
     def flags(self) -> tuple[bool, ...]:
-        return tuple(witness is not None for witness in self.witnesses.values())
+        return tuple([witness is not None for witness in self.witnesses.values()])
 
     def all_agree(self) -> bool:
         flags = self.flags()
@@ -117,7 +117,7 @@ class _Verdict:
             theorem=self.theorem,
             applicable=applicable,
             passed=applicable and FAIL not in self._status.values(),
-            checks=tuple(_sub_check(name, self._status.get(name, NA)) for name in declared),
+            checks=tuple([_sub_check(name, self._status.get(name, NA)) for name in declared]),
             observations=self._observations,
         )
 

@@ -230,10 +230,12 @@ FAILURE_DIGESTS = [
      "76d8a4b51d4ce5b707242d7fa7df7fd7bcf8144d1ee77962313a51c6c45c65e3"),
     (CampaignConfig(ring="q", n=2, trials=6, seed=11, theorems=PLANTED_ORDER),
      "5e6be9f229b81d27ba0222c54aa8d5efd6057969599fd61ed87f88b7a627eccc"),
+    (CampaignConfig(ring="qi", n=3, trials=4, seed=12, theorems=PLANTED_ORDER),
+     "12d0d271682d2ba01605376c761ca7ca08efb2511355a53ac2767394c9b2cd6d"),
 ]
 
 
-@pytest.mark.parametrize("config, digest", FAILURE_DIGESTS, ids=["gf:3", "q"])
+@pytest.mark.parametrize("config, digest", FAILURE_DIGESTS, ids=["gf:3", "q", "qi"])
 def test_failure_record_bytes_unchanged(monkeypatch, config, digest):
     original = campaign.run_battery
 

@@ -2,8 +2,8 @@
 
 The oracles: 2x2 inverses by the adjugate formula, MP existence over
 GF(2) by scanning all 16 candidates, hand-reduced echelon forms, and
-per-scalar Field-method loops for the integer product and elimination
-kernels.
+per-scalar Field-method loops for the integer product, elimination,
+sum, negation and star kernels.
 """
 import math
 import tracemalloc
@@ -89,6 +89,14 @@ def test_matrix_immutable():
     a = qmat([[1, 0], [0, 1]])
     with pytest.raises(AttributeError):
         a.rows = 3
+
+
+def test_matrix_dimensions_must_be_positive():
+    builders = [lambda: ExactMatrix(QQ, 0, 1, []), lambda: ExactMatrix.zeros(GF2, 1, 0),
+                lambda: ExactMatrix.identity(QI, 0)]
+    for build in builders:
+        with pytest.raises(ValueError, match="positive"):
+            build()
 
 
 # ----------------------------------------------------------------------- rref
@@ -274,15 +282,50 @@ def test_kernels_keep_large_numerators_exact():
         ExactMatrix(QI, 1, 2, [QI.one(), z.inverse()]), 1, (0,))
 
 
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.label)
+def test_sum_negation_and_star_kernels_match_field_methods(field):
+    # the per-scalar oracles: one Field call per entry
+    f = field
+    rng = SplitMix64(606)
+    for _ in range(300):
+        rows, cols = 1 + rng.below(5), 1 + rng.below(5)
+        a = kernel_matrix(f, rng, rows, cols)
+        b = kernel_matrix(f, rng, rows, cols)
+        pairs = list(zip(a.entries, b.entries))
+        assert a + b == ExactMatrix(f, rows, cols, [f.add(x, y) for x, y in pairs])
+        assert a - b == ExactMatrix(f, rows, cols, [f.sub(x, y) for x, y in pairs])
+        assert -a == ExactMatrix(f, rows, cols, [f.neg(x) for x in a.entries])
+        conj = [f.conj(a.entry(i, j)) for j in range(cols) for i in range(rows)]
+        assert a.star() == ExactMatrix(f, cols, rows, conj)
+        for got in (a + b, a - b, -a, a.star()):
+            assert_canonical(got)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.label)
+def test_packed_form_is_canonical(field):
+    # equal matrices must store equal (num, den), or equality and hashing break
+    rng = SplitMix64(707)
+    for _ in range(200):
+        n, k, m = (1 + rng.below(5) for _ in range(3))
+        a = kernel_matrix(field, rng, n, k)
+        b = kernel_matrix(field, rng, k, m)
+        c = kernel_matrix(field, rng, n, k)
+        for x in (a * b, a - c, rref(a)[0]):
+            rebuilt = ExactMatrix(field, x.rows, x.cols, x.entries)
+            assert x == rebuilt and hash(x) == hash(rebuilt)
+            assert (x.num, x.den) == (rebuilt.num, rebuilt.den)
+            assert x.den > 0 and math.gcd(*x.num, x.den) == 1
+
+
 def test_kernels_reject_unknown_field():
     class Other(type(QQ)):
         pass
 
-    a = ExactMatrix(Other(), 1, 1, [F(1)])
+    # a matrix is packed at construction, so the refusal comes there
     with pytest.raises(TypeError):
-        a * a
+        ExactMatrix(Other(), 1, 1, [F(1)])
     with pytest.raises(TypeError):
-        rref(a)
+        ExactMatrix.identity(Other(), 1)
 
 
 # ------------------------------------------------------- rank factorization
