@@ -4,10 +4,11 @@ Square matrices of a fixed size over one field form a ring with
 involution; the involution is the entrywise-conjugate transpose, which
 degenerates to the plain transpose over the rationals and prime fields.
 Solvers are constructive and field-generic: MP inverses come from a
-full-rank factorization and two Gram inversions, Drazin inverses from
-the core-nilpotent similarity, so no complex-field shortcut is ever
-assumed.  Existence failures are reported as None, not exceptions;
-over a prime field "no MP inverse" is ordinary data.
+full-rank factorization and two Gram inversions, group inverses from
+the same factorization and one inversion, and Drazin inverses from the
+group inverse of the power at the index, so no complex-field shortcut
+is ever assumed.  Existence failures are reported as None, not
+exceptions; over a prime field "no MP inverse" is ordinary data.
 """
 from __future__ import annotations
 
@@ -41,10 +42,13 @@ class MatrixParseError(ValueError):
 class ExactMatrix:
     """Immutable dense matrix with entries in one exact field.
 
-    Entries are stored packed (``starinv.kernels``): integers ``num``
-    over one positive ``den`` with gcd(*num, den) == 1, so equality and
-    hashing compare the packed form.  ``entries`` builds the field's
-    scalars on first use and keeps them.
+    The constructor takes ``entries`` in row-major order and runs each
+    through ``field.coerce``, so it refuses floats (TypeError) and
+    out-of-range GF(p) residues (ValueError).  Entries are stored packed
+    (``starinv.kernels``): integers ``num`` over one positive ``den``
+    with gcd(*num, den) == 1, so equality and hashing compare the packed
+    form.  ``entries`` builds the field's scalars on first use and
+    keeps them.
     """
 
     __slots__ = ("field", "rows", "cols", "num", "den", "_entries")
@@ -53,21 +57,22 @@ class ExactMatrix:
         _check_shape(rows, cols)
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
-        return _packed(field, rows, cols, *kernel(field).pack(field, entries))
+        pack, coerce = kernel(field).pack, field.coerce
+        return _packed(field, rows, cols, *pack(field, [coerce(e) for e in entries]))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
     def from_rows(cls, field: Field, rows: Iterable[Iterable]) -> "ExactMatrix":
-        """Build a matrix from nested rows, canonicalizing each entry."""
+        """Build a matrix from nested rows of entries."""
         data = [list(r) for r in rows]
         if not data:
             raise ValueError("no rows")
         width = len(data[0])
         if any(len(r) != width for r in data):
             raise ValueError("ragged rows")
-        return cls(field, len(data), width, [field.coerce(e) for r in data for e in r])
+        return cls(field, len(data), width, [e for r in data for e in r])
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "ExactMatrix":
@@ -132,11 +137,6 @@ class ExactMatrix:
             f, self.num, self.den, self.cols, other.num, other.den, other.cols
         )
         return _packed(f, self.rows, other.cols, *packed)
-
-    def scale(self, s) -> "ExactMatrix":
-        f = self.field
-        s = f.coerce(s)
-        return ExactMatrix(f, self.rows, self.cols, [f.mul(s, a) for a in self.entries])
 
     def star(self) -> "ExactMatrix":
         """Entrywise-conjugate transpose."""
@@ -263,27 +263,6 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix | None:
     return _submatrix(reduced, range(n), range(n, 2 * n))
 
 
-def null_space_basis(matrix: ExactMatrix) -> ExactMatrix | None:
-    """Columns spanning the right null space, or None when it is trivial.
-
-    Column t is the unit vector at the t-th free column minus that
-    column's entries of the RREF at the pivot rows.
-    """
-    n = matrix.cols
-    reduced, _, pivots = rref(matrix)
-    free = [j for j in range(n) if j not in pivots]
-    if not free:
-        return None
-    neg, den, width = (-reduced).num, reduced.den, len(free)
-    num = [0] * (len(neg) // matrix.rows * width)
-    for t, fc in enumerate(free):
-        num[fc * width + t] = den  # the unit, over den, in the first block
-        for src, dst in zip(_blocks(reduced), range(0, len(num), n * width)):
-            for i, pc in enumerate(pivots):
-                num[dst + pc * width + t] = neg[src + i * n + fc]
-    return _packed(matrix.field, n, width, *canonical(num, den))
-
-
 @dataclass(frozen=True)
 class RankFactorization:
     """A = F G with F of full column rank and G of full row rank."""
@@ -331,21 +310,37 @@ def mp_inverse(matrix: ExactMatrix) -> ExactMatrix | None:
     return g_star * gram_g * gram_f * f_star
 
 
+def group_inverse(matrix: ExactMatrix) -> ExactMatrix | None:
+    """Group inverse, or None when the index exceeds 1.
+
+    With A = FG, the group inverse is F (GF)^-2 G, and GF is invertible
+    exactly when rank(A^2) = rank(A) (Ben-Israel and Greville,
+    Generalized Inverses, 2nd ed., 2003).  The zero matrix is its own.
+    """
+    if matrix.rows != matrix.cols:
+        raise ValueError("group inverse requires a square matrix")
+    if matrix.is_zero():
+        return matrix
+    fact = full_rank_factorization(matrix)
+    core = inverse(fact.G * fact.F)
+    if core is None:
+        return None
+    return fact.F * core * core * fact.G
+
+
 def drazin_inverse(matrix: ExactMatrix) -> tuple[ExactMatrix, int]:
-    """Drazin inverse and index via the core-nilpotent similarity.
+    """Drazin inverse and index, as A^k (A^(k+1))^# at the index k.
 
     The index is the smallest k >= 0 with rank(A^k) = rank(A^(k+1)),
-    counting A^0 = I, so invertible matrices have index 0.  With S
-    assembled from a column-space basis and a null-space basis of A^k,
-    S^-1 A S is block diagonal with an invertible block C and a
-    nilpotent block; the result is S diag(C^-1, 0) S^-1.  Valid over
-    any field, every square matrix has one.
+    counting A^0 = I, so invertible matrices have index 0.  There
+    A^(k+1) has index at most 1, and A^D = A^k (A^(k+1))^# (Campbell
+    and Meyer, Generalized Inverses of Linear Transformations, 1979).
+    Valid over any field, every square matrix has one.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("Drazin inverse requires a square matrix")
-    f = matrix.field
     n = matrix.rows
-    power = ExactMatrix.identity(f, n)
+    power = ExactMatrix.identity(matrix.field, n)
     power_rank = n
     k = 0
     while True:
@@ -355,42 +350,9 @@ def drazin_inverse(matrix: ExactMatrix) -> tuple[ExactMatrix, int]:
             break
         power, power_rank = nxt, nxt_rank
         k += 1
-    if k == 0:
-        inv = inverse(matrix)
-        assert inv is not None
-        return inv, 0
-    if power_rank == 0:
-        return ExactMatrix.zeros(f, n, n), k
-    r = power_rank
-    _, _, pivots = rref(power)
-    col_basis = _columns(power, pivots)
-    null_basis = null_space_basis(power)
-    assert null_basis is not None
-    s = _hstack(col_basis, null_basis)
-    s_inv = inverse(s)
-    assert s_inv is not None
-    core = s_inv * matrix * s
-    c_block = _submatrix(core, range(r), range(r))
-    c_inv = inverse(c_block)
-    assert c_inv is not None
-    # diag(C^-1, 0), block by block; canonical as C^-1 is
-    c, block = c_inv.num, [0] * (len(c_inv.num) // (r * r) * n * n)
-    for src, dst in zip(_blocks(c_inv), range(0, len(block), n * n)):
-        for i in range(r):
-            block[dst + i * n : dst + i * n + r] = c[src + i * r : src + (i + 1) * r]
-    return s * _packed(f, n, n, tuple(block), c_inv.den) * s_inv, k
-
-
-def group_inverse(matrix: ExactMatrix) -> ExactMatrix | None:
-    """Drazin inverse when the index is at most 1, else None."""
-    witness, k = drazin_inverse(matrix)
-    return witness if k <= 1 else None
-
-
-def same_column_space(a: ExactMatrix, b: ExactMatrix) -> bool:
-    """Exact column-space equality decided by ranks of concatenations."""
-    ra, rb = rank(a), rank(b)
-    return ra == rb == rank(_hstack(a, b))
+    sharp = group_inverse(nxt)
+    assert sharp is not None  # rank(B^2) = rank(B) for B = A^(k+1)
+    return power * sharp, k
 
 
 def _larger_sqrt(a: int, p: int) -> int | None:

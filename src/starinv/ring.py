@@ -165,17 +165,6 @@ def is_projection(e) -> bool:
     return e * e == e and e.star() == e
 
 
-def is_ep(a, a_dag) -> bool:
-    """True iff a commutes with its MP inverse.
-
-    ``a_dag`` must actually be the MP inverse of a; otherwise the
-    question is ill-posed and InvalidWitnessError is raised.
-    """
-    if not verify_mp(a, a_dag).all:
-        raise InvalidWitnessError("a_dag is not the MP inverse of a")
-    return a * a_dag == a_dag * a
-
-
 class ProjectionPairContext:
     """A projection pair (p, q) with its derived elements cached.
 
@@ -205,7 +194,3 @@ class ProjectionPairContext:
     def complemented(self) -> "ProjectionPairContext":
         """The context for the complementary pair (1-p, 1-q)."""
         return ProjectionPairContext(self.p_bar, self.q_bar)
-
-    def swapped(self) -> "ProjectionPairContext":
-        """The context for the reversed pair (q, p)."""
-        return ProjectionPairContext(self.q, self.p)

@@ -1,10 +1,12 @@
 """Solver checks, cross-checked against independent oracles.
 
 The oracles: 2x2 inverses by the adjugate formula, MP existence over
-GF(2) by scanning all 16 candidates, hand-reduced echelon forms, and
-per-scalar Field-method loops for the integer product, elimination,
-sum, negation and star kernels.
+GF(2) by scanning all 16 candidates, Drazin inverses over GF(2) and
+GF(3) by scanning all candidates at the index the ranks of the powers
+give, hand-reduced echelon forms, and per-scalar Field-method loops
+for the integer product, elimination, sum, negation and star kernels.
 """
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -30,9 +32,8 @@ from starinv.matrices import (
     parse_matrix,
     rank,
     rref,
-    same_column_space,
 )
-from starinv.ring import verify_drazin, verify_mp
+from starinv.ring import element_power, verify_drazin, verify_mp
 from starinv.scalars import QI, QQ, GaussianRational, PrimeField
 
 GF2 = PrimeField(2)
@@ -47,8 +48,8 @@ def gf2mat(rows):
     return ExactMatrix.from_rows(GF2, rows)
 
 
-def all_gf2_2x2():
-    return [ExactMatrix(GF2, 2, 2, [(m >> k) & 1 for k in range(4)]) for m in range(16)]
+def all_square(field, n):
+    return [ExactMatrix(field, n, n, e) for e in itertools.product(field.elements(), repeat=n * n)]
 
 
 def random_qmat(rng, n, lo=-3, hi=3):
@@ -99,6 +100,18 @@ def test_matrix_dimensions_must_be_positive():
             build()
 
 
+def test_constructor_coerces_every_entry():
+    # the rule of Field.coerce, shared with from_rows and parse_matrix
+    for residue in (3, 5, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            ExactMatrix(GF3, 1, 1, [residue])
+    for field in (QQ, QI, GF3):
+        with pytest.raises(TypeError):
+            ExactMatrix(field, 1, 1, [0.5])
+    half = ExactMatrix(QI, 1, 1, [F(1, 2)])
+    assert half.entries == (GaussianRational(F(1, 2), F(0)),)
+
+
 # ----------------------------------------------------------------------- rref
 
 
@@ -125,7 +138,7 @@ def test_rank_equals_star_rank():
         a = random_qmat(rng, 3)
         assert rank(a) == rank(a.star())
         assert rank(a.star() * a) == rank(a)
-    for a in all_gf2_2x2():
+    for a in all_square(GF2, 2):
         assert rank(a) == rank(a.star())
 
 
@@ -401,11 +414,11 @@ def test_mp_inverse_gf2_singular_gram():
     assert mp_inverse(gf2mat([[1, 1], [1, 1]])) is None
     # independent oracle: no candidate among all 16 passes
     a = gf2mat([[1, 1], [1, 1]])
-    assert all(not verify_mp(a, b).all for b in all_gf2_2x2())
+    assert all(not verify_mp(a, b).all for b in all_square(GF2, 2))
 
 
 def test_mp_inverse_gf2_matches_exhaustive_oracle():
-    matrices = all_gf2_2x2()
+    matrices = all_square(GF2, 2)
     for a in matrices:
         witnesses = [b for b in matrices if verify_mp(a, b).all]
         got = mp_inverse(a)
@@ -484,9 +497,28 @@ def test_drazin_certified_and_commutes():
             assert not verify_drazin(a, witness, k - 1).index_eq
 
 
+def rank_sequence_index(a):
+    k = 0
+    while rank(element_power(a, k)) != rank(element_power(a, k + 1)):
+        k += 1
+    return k
+
+
 def test_drazin_over_gf2():
-    for a in all_gf2_2x2():
+    # Oracles: the index is where the ranks of the powers stop falling,
+    # and on 2x2 matrices the witness is the only one of all p^4
+    # candidates that passes verify_drazin at that index.
+    for field in (GF2, GF3):
+        candidates = all_square(field, 2)
+        for a in candidates:
+            k = rank_sequence_index(a)
+            witness, got = drazin_inverse(a)
+            assert got == k
+            assert [c for c in candidates if verify_drazin(a, c, k).valid] == [witness]
+            assert group_inverse(a) == (witness if k <= 1 else None)
+    for a in all_square(GF2, 3):
         witness, k = drazin_inverse(a)
+        assert k == rank_sequence_index(a)
         assert verify_drazin(a, witness, k).valid
 
 
@@ -498,24 +530,19 @@ def test_group_inverse():
 
 
 def test_group_inverse_agrees_with_mp_for_ep_matrices():
-    # When column spaces of A and A* agree and A has an MP inverse,
-    # the group inverse exists and the two coincide.
-    for a in all_gf2_2x2():
+    # When A has an MP inverse that commutes with it (A is EP), the
+    # group inverse exists and the two coincide.
+    for a in all_square(GF2, 2):
         a_dag = mp_inverse(a)
-        if a_dag is not None and same_column_space(a, a.star()):
+        if a_dag is not None and a * a_dag == a_dag * a:
             assert group_inverse(a) == a_dag
     rng = SplitMix64(59)
     for _ in range(15):
         m = random_qmat(rng, 3, -2, 2)
-        a = m + m.star()  # self-adjoint, so the column spaces agree
+        a = m + m.star()  # self-adjoint, hence EP
         a_dag = mp_inverse(a)
         assert a_dag is not None
         assert group_inverse(a) == a_dag
-
-
-def test_same_column_space():
-    assert same_column_space(qmat([[1, 0], [0, 0]]), qmat([[2, 0], [0, 0]]))
-    assert not same_column_space(qmat([[1, 0], [0, 0]]), qmat([[0, 0], [0, 1]]))
 
 
 # ------------------------------------------------------------- star-reducing
