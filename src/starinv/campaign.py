@@ -13,7 +13,6 @@ import functools
 import io
 import itertools
 import json
-import re
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -29,7 +28,7 @@ from .generators import (
 )
 from .matrices import MatrixInverseEngine, MatrixRing
 from .ring import CachingEngine, ProjectionPairContext
-from .scalars import QI, QQ, Field, PrimeField
+from .scalars import field_named
 from .theorems import THEOREM_IDS, run_battery
 
 SCHEMA_VERSION = 1
@@ -216,31 +215,13 @@ class CampaignReport:
         return out.getvalue()
 
 
-def matrix_field(ring_id: str) -> Field:
-    """The scalar field of a matrix ring id: q, qi or gf:<prime>.
-
-    The modulus must be written canonically (ASCII digits, no sign, no
-    leading zero), so the id names the ring exactly as
-    ``MatrixRing.ring_id`` does.  Raises ValueError for any other id, a
-    composite modulus, or (as TooLargeError) a modulus beyond the cap.
-    """
-    if ring_id == "q":
-        return QQ
-    if ring_id == "qi":
-        return QI
-    modulus = re.fullmatch(r"gf:([1-9][0-9]*)", ring_id)
-    if modulus:
-        return PrimeField(int(modulus.group(1)))
-    raise ValueError(f"unknown ring id {ring_id!r}")
-
-
 def parse_ring_id(ring_id: str) -> str:
     """Validate a ring id, returning it unchanged.
 
-    Accepted: q, qi, gf:<prime>, example26.
+    Accepted: q, qi, gf:<prime> (``scalars.field_named``), example26.
     """
     if ring_id != "example26":
-        matrix_field(ring_id)
+        field_named(ring_id)
     return ring_id
 
 
@@ -280,7 +261,7 @@ def _pair_stream(config: CampaignConfig):
         pairs = _sweep(config, algebra.dim, enumerate_projections(algebra))
         return ExhaustiveEngine(algebra), pairs, True
 
-    ring = MatrixRing(matrix_field(config.ring), config.n)
+    ring = MatrixRing(field_named(config.ring), config.n)
     engine = MatrixInverseEngine(ring)
     size = ring.field.size
     if size is not None and size ** (config.n * config.n) <= EXHAUSTIVE_CELL_CAP:

@@ -23,7 +23,6 @@ from .campaign import (
     THEOREM_IDS,
     CampaignConfig,
     check_theorem_ids,
-    matrix_field,
     parse_ring_id,
     run_campaign,
 )
@@ -39,6 +38,7 @@ from .matrices import (
     parse_matrix,
 )
 from .ring import is_projection, verify_mp
+from .scalars import field_named
 
 
 def counterexample_evidence() -> dict:
@@ -215,9 +215,6 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     ring = _parse_ring(args, parser)
-    if ring in ("q", "qi"):
-        parser.error("enumerate requires a finite ring (example26 or gf:<p>)")
-
     if ring == "example26":
         algebra = example26_algebra()
         if args.what == "projections":
@@ -228,9 +225,11 @@ def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             sys.stdout.write(algebra.format_element(element) + "\n")
         return 0
 
+    field = field_named(ring)
+    if field.size is None:
+        parser.error("enumerate requires a finite ring (example26 or gf:<p>)")
     if args.n < 1:
         parser.error("--n must be positive")
-    field = matrix_field(ring)
     if args.what == "projections":
         try:
             listing = all_projections_matrix(args.n, field)

@@ -4,11 +4,13 @@ Square matrices of a fixed size over one field form a ring with
 involution; the involution is the entrywise-conjugate transpose, which
 degenerates to the plain transpose over the rationals and prime fields.
 Solvers are constructive and field-generic: MP inverses come from a
-full-rank factorization and two Gram inversions, group inverses from
-the same factorization and one inversion, and Drazin inverses from the
-group inverse of the power at the index, so no complex-field shortcut
-is ever assumed.  Existence failures are reported as None, not
-exceptions; over a prime field "no MP inverse" is ordinary data.
+full-rank factorization and two Gram inversions, and Drazin inverses
+(group inverses at index at most 1) from Cline's formula on the same
+factorization, so no complex-field shortcut is ever assumed.
+Existence failures are reported as None, not exceptions; over a prime
+field "no MP inverse" is ordinary data.  Nothing here branches on the
+type of a field: entries go through ``starinv.kernels``, and a field's
+names and size are data on the field (``starinv.scalars``).
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .kernels import canonical, kernel
-from .scalars import Field, GaussianRationalField, PrimeField, RationalField
+from .scalars import Field, field_named
 
 
 class ZeroMatrixError(ValueError):
@@ -311,48 +313,33 @@ def mp_inverse(matrix: ExactMatrix) -> ExactMatrix | None:
 
 
 def group_inverse(matrix: ExactMatrix) -> ExactMatrix | None:
-    """Group inverse, or None when the index exceeds 1.
-
-    With A = FG, the group inverse is F (GF)^-2 G, and GF is invertible
-    exactly when rank(A^2) = rank(A) (Ben-Israel and Greville,
-    Generalized Inverses, 2nd ed., 2003).  The zero matrix is its own.
-    """
-    if matrix.rows != matrix.cols:
-        raise ValueError("group inverse requires a square matrix")
-    if matrix.is_zero():
-        return matrix
-    fact = full_rank_factorization(matrix)
-    core = inverse(fact.G * fact.F)
-    if core is None:
-        return None
-    return fact.F * core * core * fact.G
+    """Group inverse: the Drazin inverse when the index is at most 1,
+    else None."""
+    witness, k = drazin_inverse(matrix)
+    return witness if k <= 1 else None
 
 
 def drazin_inverse(matrix: ExactMatrix) -> tuple[ExactMatrix, int]:
-    """Drazin inverse and index, as A^k (A^(k+1))^# at the index k.
+    """Drazin inverse and index, by Cline's formula.
 
-    The index is the smallest k >= 0 with rank(A^k) = rank(A^(k+1)),
-    counting A^0 = I, so invertible matrices have index 0.  There
-    A^(k+1) has index at most 1, and A^D = A^k (A^(k+1))^# (Campbell
-    and Meyer, Generalized Inverses of Linear Transformations, 1979).
-    Valid over any field, every square matrix has one.
+    With A = FG, (FG)^D = F ((GF)^D)^2 G (R. E. Cline, 1965).  Since
+    A^(k+1) = F (GF)^k G, a singular A has index one more than GF; an
+    invertible A has index 0, and the zero matrix index 1.  Valid over
+    any field, every square matrix has one.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("Drazin inverse requires a square matrix")
-    n = matrix.rows
-    power = ExactMatrix.identity(matrix.field, n)
-    power_rank = n
-    k = 0
-    while True:
-        nxt = power * matrix
-        nxt_rank = rank(nxt)
-        if nxt_rank == power_rank:
-            break
-        power, power_rank = nxt, nxt_rank
-        k += 1
-    sharp = group_inverse(nxt)
-    assert sharp is not None  # rank(B^2) = rank(B) for B = A^(k+1)
-    return power * sharp, k
+    return _drazin(matrix)
+
+
+def _drazin(matrix: ExactMatrix) -> tuple[ExactMatrix, int]:
+    if matrix.is_zero():
+        return matrix, 1
+    fact = full_rank_factorization(matrix)
+    if fact.rank == matrix.rows:
+        return inverse(matrix), 0
+    core, k = _drazin(fact.G * fact.F)
+    return fact.F * core * core * fact.G, k + 1
 
 
 def _larger_sqrt(a: int, p: int) -> int | None:
@@ -436,13 +423,7 @@ class MatrixRing:
 
     @property
     def ring_id(self) -> str:
-        if isinstance(self.field, RationalField):
-            return "q"
-        if isinstance(self.field, GaussianRationalField):
-            return "qi"
-        if isinstance(self.field, PrimeField):
-            return f"gf:{self.field.p}"
-        raise TypeError("unknown field")
+        return self.field.ring_id
 
     @property
     def is_star_reducing(self) -> bool:
@@ -453,17 +434,14 @@ class MatrixRing:
         to whether the standard quadratic form has a nonzero isotropic
         vector.
         """
-        if isinstance(self.field, (RationalField, GaussianRationalField)):
-            return True
-        if isinstance(self.field, PrimeField):
-            return isotropic_vector(self.field.p, self.n) is None
-        raise TypeError("unknown field")
+        return self.non_star_reducing_witness() is None
 
     def non_star_reducing_witness(self) -> ExactMatrix | None:
         """A nonzero matrix with A* A = 0, when the ring admits one."""
-        if not isinstance(self.field, PrimeField):
+        p = self.field.size  # the finite fields are the prime fields
+        if p is None:
             return None
-        vec = isotropic_vector(self.field.p, self.n)
+        vec = isotropic_vector(p, self.n)
         if vec is None:
             return None
         z = self.field.zero()
@@ -495,9 +473,6 @@ class MatrixInverseEngine:
         return format_matrix(x)
 
 
-_FIELD_HEADERS = {"Q": RationalField, "QI": GaussianRationalField}
-
-
 def format_matrix(matrix: ExactMatrix) -> str:
     """Render a matrix in the text exchange format."""
     f = matrix.field
@@ -518,7 +493,8 @@ def parse_matrix(text: str) -> ExactMatrix:
 
     Expected layout: a ``ring`` header (Q, QI, or GF <p>), then
     ``rows <m>`` and ``cols <n>``, then m lines of n whitespace
-    separated entries.  Blank lines are ignored.  Malformed input
+    separated entries.  Numbers are ASCII decimal, and a modulus has no
+    sign or leading zero.  Blank lines are ignored.  Malformed input
     raises MatrixParseError with the offending line and entry.
     """
     numbered = [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())]
@@ -530,29 +506,19 @@ def parse_matrix(text: str) -> ExactMatrix:
     tokens = header.split()
     if not tokens or tokens[0] != "ring":
         raise MatrixParseError("first line must be a 'ring' header", no)
-    if len(tokens) == 2 and tokens[1] in _FIELD_HEADERS:
-        field: Field = _FIELD_HEADERS[tokens[1]]()
-    elif len(tokens) == 3 and tokens[1] == "GF":
-        try:
-            p = int(tokens[2])
-        except ValueError:
-            raise MatrixParseError(f"bad GF modulus {tokens[2]!r}", no) from None
-        try:
-            field = PrimeField(p)  # checks the modulus cap before primality
-        except ValueError as exc:
-            raise MatrixParseError(f"GF modulus: {exc}", no) from None
-    else:
-        raise MatrixParseError(f"unknown ring header {header!r}", no)
+    try:
+        field = field_named(" ".join(tokens[1:]), header=True)
+    except ValueError as exc:
+        raise MatrixParseError(str(exc), no) from None
 
     def read_dim(index: int, name: str) -> int:
         line_no, line = lines[index]
         parts = line.split()
         if len(parts) != 2 or parts[0] != name:
             raise MatrixParseError(f"expected '{name} <count>'", line_no)
-        try:
-            value = int(parts[1])
-        except ValueError:
-            raise MatrixParseError(f"bad {name} count {parts[1]!r}", line_no) from None
+        if not (parts[1].isascii() and parts[1].isdigit()):
+            raise MatrixParseError(f"bad {name} count {parts[1]!r}", line_no)
+        value = int(parts[1])
         if value < 1:
             raise MatrixParseError(f"{name} must be positive", line_no)
         return value

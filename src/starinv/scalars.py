@@ -1,5 +1,12 @@
 """Exact scalar fields: rationals, Gaussian rationals, and prime fields.
 
+This is the one module that knows which fields exist and how they are
+named: ``field_named`` reads a ring id (``q``, ``qi``, ``gf:<p>``) or a
+matrix-file header (``Q``, ``QI``, ``GF <p>``).  A field is data, its
+names, size, unit elements and the parsing, formatting and coercion of
+its scalars; the arithmetic runs in ``starinv.kernels`` on whole
+matrices.
+
 Every value is kept in a canonical form so equality is structural:
 ``Fraction`` is always reduced with a positive denominator,
 ``GaussianRational`` holds two canonical fractions, and prime-field
@@ -12,7 +19,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 
-_RATIONAL_TOKEN = re.compile(r"^-?\d+(?:/\d+)?$")
+# Numbers are ASCII decimal: \d and int() would also read other scripts' digits.
+_RATIONAL_TOKEN = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RESIDUE_TOKEN = re.compile(r"[0-9]+")
+_MODULUS_TOKEN = re.compile(r"[1-9][0-9]*")
 
 # Largest accepted GF(p) modulus.  Primality is decided by trial
 # division, which stays desk-sized below this.
@@ -37,8 +47,8 @@ def is_prime(n: int) -> bool:
 
 
 def parse_rational(token: str) -> Fraction:
-    """Parse ``a`` or ``a/b`` (decimal integers, optional leading ``-``)."""
-    if not _RATIONAL_TOKEN.match(token):
+    """Parse ``a`` or ``a/b`` (ASCII decimal integers, optional leading ``-``)."""
+    if not _RATIONAL_TOKEN.fullmatch(token):
         raise ValueError(f"not a rational literal: {token!r}")
     if "/" in token:
         num, den = token.split("/")
@@ -50,7 +60,11 @@ def parse_rational(token: str) -> Fraction:
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex scalar ``re + im*i`` with rational parts."""
+    """Exact complex scalar ``re + im*i`` with rational parts.
+
+    A validated value only: arithmetic on Gaussian rationals runs on
+    whole matrices in ``starinv.kernels``.
+    """
 
     re: Fraction
     im: Fraction
@@ -61,42 +75,12 @@ class GaussianRational:
         object.__setattr__(self, "re", Fraction(self.re))
         object.__setattr__(self, "im", Fraction(self.im))
 
-    def conjugate(self) -> "GaussianRational":
-        return _gaussian(self.re, -self.im)
-
-    def inverse(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return _gaussian(self.re / norm, -self.im / norm)
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return _gaussian(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return _gaussian(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return _gaussian(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return _gaussian(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __str__(self) -> str:
-        return f"{self.re},{self.im}"
-
 
 def _gaussian(re: Fraction, im: Fraction) -> GaussianRational:
     """Trusted internal constructor: both parts must already be Fractions.
 
     Skips the public constructor's float check and re-wrapping, for
-    arithmetic whose results are canonical by construction.
+    ``kernels.unpack``, whose parts are Fractions by construction.
     """
     z = object.__new__(GaussianRational)
     object.__setattr__(z, "re", re)
@@ -105,37 +89,22 @@ def _gaussian(re: Fraction, im: Fraction) -> GaussianRational:
 
 
 class Field(ABC):
-    """A field of exact scalars together with its conjugation.
+    """A field of exact scalars, as data.
 
-    ``label`` is the token used in the matrix text format header.
+    ``label`` names the field in the matrix text format header and
+    ``ring_id`` on the command line and in reports.  A field parses,
+    formats and coerces its scalars; the arithmetic on them runs in
+    ``starinv.kernels``, on whole matrices.
     """
 
     label: str
+    ring_id: str
 
     @abstractmethod
     def zero(self): ...
 
     @abstractmethod
     def one(self): ...
-
-    @abstractmethod
-    def add(self, a, b): ...
-
-    @abstractmethod
-    def sub(self, a, b): ...
-
-    @abstractmethod
-    def neg(self, a): ...
-
-    @abstractmethod
-    def mul(self, a, b): ...
-
-    @abstractmethod
-    def inv(self, a):
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
-
-    @abstractmethod
-    def conj(self, a): ...
 
     @abstractmethod
     def parse(self, token: str):
@@ -148,9 +117,6 @@ class Field(ABC):
     def coerce(self, value):
         """Canonicalize a user-supplied value; floats are rejected."""
 
-    def is_zero(self, a) -> bool:
-        return not a
-
     @property
     def size(self) -> int | None:
         """Number of elements, or None for an infinite field."""
@@ -160,32 +126,13 @@ class Field(ABC):
 @dataclass(frozen=True)
 class RationalField(Field):
     label: str = "Q"
+    ring_id: str = "q"
 
     def zero(self) -> Fraction:
         return Fraction(0)
 
     def one(self) -> Fraction:
         return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
-
-    def conj(self, a):
-        return a
 
     def parse(self, token: str) -> Fraction:
         return parse_rational(token)
@@ -202,30 +149,13 @@ class RationalField(Field):
 @dataclass(frozen=True)
 class GaussianRationalField(Field):
     label: str = "QI"
+    ring_id: str = "qi"
 
     def zero(self) -> GaussianRational:
         return _gaussian(Fraction(0), Fraction(0))
 
     def one(self) -> GaussianRational:
         return _gaussian(Fraction(1), Fraction(0))
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return a.inverse()
-
-    def conj(self, a):
-        return a.conjugate()
 
     def parse(self, token: str) -> GaussianRational:
         parts = token.split(",")
@@ -258,6 +188,7 @@ class PrimeField(Field):
         if not is_prime(self.p):
             raise ValueError(f"modulus must be prime, got {self.p}")
         object.__setattr__(self, "label", f"GF {self.p}")
+        object.__setattr__(self, "ring_id", f"gf:{self.p}")
 
     def zero(self) -> int:
         return 0
@@ -265,28 +196,8 @@ class PrimeField(Field):
     def one(self) -> int:
         return 1 % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
-    def conj(self, a):
-        return a
-
     def parse(self, token: str) -> int:
-        if not re.match(r"^\d+$", token):
+        if not _RESIDUE_TOKEN.fullmatch(token):
             raise ValueError(f"not a GF({self.p}) literal: {token!r}")
         value = int(token)
         if value >= self.p:
@@ -313,3 +224,23 @@ class PrimeField(Field):
 
 QQ = RationalField()
 QI = GaussianRationalField()
+
+
+def field_named(name: str, *, header: bool = False) -> Field:
+    """The field a ring id (q, qi, gf:<p>) names, or with ``header`` the
+    field a matrix-file header (Q, QI, GF <p>) names.
+
+    Neither spelling is accepted for the other.  The modulus must be
+    written canonically (ASCII digits, no sign, no leading zero), so a
+    field has one name of each kind.  Raises ValueError for any other
+    name or a composite modulus, and TooLargeError for a modulus beyond
+    the cap, which is checked before primality.
+    """
+    for field in (QQ, QI):
+        if name == (field.label if header else field.ring_id):
+            return field
+    prefix = "GF " if header else "gf:"
+    modulus = name[len(prefix) :]
+    if name.startswith(prefix) and _MODULUS_TOKEN.fullmatch(modulus):
+        return PrimeField(int(modulus))
+    raise ValueError(f"unknown {'ring header' if header else 'ring id'} {name!r}")

@@ -16,7 +16,7 @@ from starinv.campaign import (
     run_campaign,
 )
 from starinv.generators import TrialSpec
-from starinv.scalars import TooLargeError
+from starinv.scalars import QI, QQ, PrimeField, TooLargeError, field_named
 from starinv.theorems import BATTERIES, FAIL, PASS, SubCheck, TheoremVerdict
 from test_report_digests import DIGESTS
 
@@ -55,6 +55,16 @@ def test_parse_ring_id():
     for spelling in ("gf:+3", "gf: 3", "gf:0_3", "gf:03", "gf:\uff13"):  # int() reads 3
         with pytest.raises(ValueError):
             parse_ring_id(spelling)
+    # one namer for both spellings, each field named once in each
+    for field in (QQ, QI, PrimeField(2), PrimeField(7), PrimeField(1048573)):
+        assert field_named(field.ring_id) == field
+        assert field_named(field.label, header=True) == field
+    for ring_id in ("Q", "QI", "GF 3"):
+        with pytest.raises(ValueError):
+            parse_ring_id(ring_id)
+    for header in ("q", "qi", "gf:3", "GF 03", "GF +3", "GF 0_3", "GF \uff13"):
+        with pytest.raises(ValueError):
+            field_named(header, header=True)
 
 
 def test_random_campaign_aggregates():

@@ -145,6 +145,13 @@ def test_inverse_parse_error(tmp_path, capsys):
     assert "line 4, entry 2" in err
 
 
+def test_inverse_refuses_a_noncanonical_modulus(tmp_path, capsys):
+    path = write_matrix(tmp_path, "ring GF 03\nrows 1\ncols 1\n1\n")
+    code, _, err = run_cli(capsys, "inverse", "--kind", "mp", "--in", path)
+    assert code == 2
+    assert "line 1" in err
+
+
 def test_inverse_huge_gf_modulus_fails_fast(tmp_path):
     # trial division of this modulus never finishes; the cap is checked first
     path = write_matrix(tmp_path, "ring GF 1000000000000000003\nrows 1\ncols 1\n1\n")
@@ -326,7 +333,9 @@ def test_enumerate_rejects_nonpositive_size(capsys):
 
 
 def test_enumerate_rejects_infinite_ring(capsys):
-    assert run_cli(capsys, "enumerate", "--ring", "q", "--what", "projections")[0] == 2
+    for ring in ("q", "qi"):
+        code, _, err = run_cli(capsys, "enumerate", "--ring", ring, "--what", "projections")
+        assert code == 2 and "finite ring" in err
 
 
 def test_version_flag(capsys):

@@ -3,8 +3,9 @@
 The oracles: 2x2 inverses by the adjugate formula, MP existence over
 GF(2) by scanning all 16 candidates, Drazin inverses over GF(2) and
 GF(3) by scanning all candidates at the index the ranks of the powers
-give, hand-reduced echelon forms, and per-scalar Field-method loops
-for the integer product, elimination, sum, negation and star kernels.
+give, hand-reduced echelon forms, and per-scalar loops over
+``scalar_oracle`` for the integer product, elimination, sum, negation
+and star kernels.
 """
 import itertools
 import math
@@ -12,6 +13,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+import scalar_oracle as oracle
 
 from starinv import matrices, scalars
 from starinv.generators import SplitMix64
@@ -162,14 +164,14 @@ def test_gram_rank_matches_over_gaussians():
 
 
 def _oracle_product(a, b):
-    # the per-scalar loop: one Field call per multiply and per add
+    # the per-scalar loop: one oracle call per multiply and per add
     f = a.field
     out = []
     for i in range(a.rows):
         for j in range(b.cols):
             acc = f.zero()
             for t in range(a.cols):
-                acc = f.add(acc, f.mul(a.entry(i, t), b.entry(t, j)))
+                acc = oracle.add(f, acc, oracle.mul(f, a.entry(i, t), b.entry(t, j)))
             out.append(acc)
     return ExactMatrix(f, a.rows, b.cols, out)
 
@@ -184,16 +186,18 @@ def _oracle_rref(matrix):
     for col in range(n):
         if r == m:
             break
-        pivot_row = next((i for i in range(r, m) if not f.is_zero(data[i][col])), None)
+        pivot_row = next((i for i in range(r, m) if not oracle.is_zero(f, data[i][col])), None)
         if pivot_row is None:
             continue
         data[r], data[pivot_row] = data[pivot_row], data[r]
-        scale = f.inv(data[r][col])
-        data[r] = [f.mul(scale, e) for e in data[r]]
+        scale = oracle.inv(f, data[r][col])
+        data[r] = [oracle.mul(f, scale, e) for e in data[r]]
         for i in range(m):
-            if i != r and not f.is_zero(data[i][col]):
+            if i != r and not oracle.is_zero(f, data[i][col]):
                 factor = data[i][col]
-                data[i] = [f.sub(e, f.mul(factor, piv)) for e, piv in zip(data[i], data[r])]
+                data[i] = [
+                    oracle.sub(f, e, oracle.mul(f, factor, piv)) for e, piv in zip(data[i], data[r])
+                ]
         pivots.append(col)
         r += 1
     return ExactMatrix.from_rows(f, data), r, tuple(pivots)
@@ -230,7 +234,7 @@ def kernel_matrix(field, rng, rows, cols):
             c = random_scalar(field, rng, False)
             src = data[rng.below(i)]
             other = data[rng.below(i)]
-            data[i] = [field.add(field.mul(c, x), y) for x, y in zip(src, other)]
+            data[i] = [oracle.add(field, oracle.mul(field, c, x), y) for x, y in zip(src, other)]
     return ExactMatrix(field, rows, cols, [e for row in data for e in row])
 
 
@@ -274,7 +278,7 @@ def test_rref_kernel_matches_scalar_elimination(field):
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.label)
 def test_kernels_on_one_by_one_and_zero_matrices(field):
     one = ExactMatrix.identity(field, 1)
-    x = ExactMatrix(field, 1, 1, [field.neg(field.one())])
+    x = ExactMatrix(field, 1, 1, [oracle.neg(field, field.one())])
     assert x * x == one and x * one == x
     assert rref(x) == (one, 1, (0,))
     for rows, cols in [(1, 1), (2, 3), (4, 1)]:
@@ -292,12 +296,12 @@ def test_kernels_keep_large_numerators_exact():
     assert (a * a).entry(0, 0) == big * big + 2 * big
     z = GaussianRational(big, -big)
     assert rref(ExactMatrix(QI, 1, 2, [z, QI.one()])) == (
-        ExactMatrix(QI, 1, 2, [QI.one(), z.inverse()]), 1, (0,))
+        ExactMatrix(QI, 1, 2, [QI.one(), oracle.inv(QI, z)]), 1, (0,))
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.label)
 def test_sum_negation_and_star_kernels_match_field_methods(field):
-    # the per-scalar oracles: one Field call per entry
+    # the per-scalar oracles: one oracle call per entry
     f = field
     rng = SplitMix64(606)
     for _ in range(300):
@@ -305,10 +309,10 @@ def test_sum_negation_and_star_kernels_match_field_methods(field):
         a = kernel_matrix(f, rng, rows, cols)
         b = kernel_matrix(f, rng, rows, cols)
         pairs = list(zip(a.entries, b.entries))
-        assert a + b == ExactMatrix(f, rows, cols, [f.add(x, y) for x, y in pairs])
-        assert a - b == ExactMatrix(f, rows, cols, [f.sub(x, y) for x, y in pairs])
-        assert -a == ExactMatrix(f, rows, cols, [f.neg(x) for x in a.entries])
-        conj = [f.conj(a.entry(i, j)) for j in range(cols) for i in range(rows)]
+        assert a + b == ExactMatrix(f, rows, cols, [oracle.add(f, x, y) for x, y in pairs])
+        assert a - b == ExactMatrix(f, rows, cols, [oracle.sub(f, x, y) for x, y in pairs])
+        assert -a == ExactMatrix(f, rows, cols, [oracle.neg(f, x) for x in a.entries])
+        conj = [oracle.conj(f, a.entry(i, j)) for j in range(cols) for i in range(rows)]
         assert a.star() == ExactMatrix(f, cols, rows, conj)
         for got in (a + b, a - b, -a, a.star()):
             assert_canonical(got)
@@ -662,10 +666,15 @@ def test_parse_matrix_example():
 
 
 def test_parse_matrix_bad_header():
-    with pytest.raises(MatrixParseError):
-        parse_matrix("ring Z\nrows 1\ncols 1\n3\n")
-    with pytest.raises(MatrixParseError):
-        parse_matrix("ring GF 4\nrows 1\ncols 1\n3\n")
+    # a modulus is ASCII digits with no sign or leading zero; int() reads all these as 3
+    for header in ("Z", "GF 4", "GF 03", "GF +3", "GF 0_3", "GF \uff13", "gf:3", "q"):
+        with pytest.raises(MatrixParseError) as info:
+            parse_matrix(f"ring {header}\nrows 1\ncols 1\n1\n")
+        assert info.value.line == 1
+    for rows in ("+1", "0_1", "\uff11"):
+        with pytest.raises(MatrixParseError) as info:
+            parse_matrix(f"ring Q\nrows {rows}\ncols 1\n1\n")
+        assert info.value.line == 2
 
 
 def test_parse_matrix_checks_modulus_cap_before_primality(monkeypatch):
@@ -693,6 +702,11 @@ def test_parse_matrix_bad_entry_has_position():
         parse_matrix("ring Q\nrows 1\ncols 3\n1 x 3\n")
     assert info.value.line == 4
     assert info.value.column == 2
+    # entries are ASCII decimal too: \d and int() also read fullwidth digits
+    for ring, entry in [("Q", "\uff13"), ("Q", "1/\uff12"), ("QI", "1,\uff12"), ("GF 5", "\uff13")]:
+        with pytest.raises(MatrixParseError) as info:
+            parse_matrix(f"ring {ring}\nrows 1\ncols 2\n1 {entry}\n")
+        assert (info.value.line, info.value.column) == (4, 2)
 
 
 def test_parse_matrix_gf_range_check():
