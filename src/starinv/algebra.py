@@ -202,9 +202,6 @@ class StructureConstantAlgebra:
     def one_element(self) -> AlgebraElement:
         return AlgebraElement(self, self._one)
 
-    def basis_element(self, index: int) -> AlgebraElement:
-        return AlgebraElement(self, 1 << index)
-
     def element_from_labels(self, *names: str) -> AlgebraElement:
         """Sum of the named basis elements, e.g. ("1", "Y") for 1 + Y."""
         bits = 0
@@ -349,10 +346,6 @@ class ExhaustiveEngine:
 
     def __init__(self, algebra: StructureConstantAlgebra):
         self.algebra = algebra
-
-    @property
-    def ring_id(self) -> str:
-        return self.algebra.name
 
     @property
     def star_reducing(self) -> bool:

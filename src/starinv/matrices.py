@@ -456,10 +456,6 @@ class MatrixInverseEngine:
         self.ring = ring
 
     @property
-    def ring_id(self) -> str:
-        return self.ring.ring_id
-
-    @property
     def star_reducing(self) -> bool:
         return self.ring.is_star_reducing
 

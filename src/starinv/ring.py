@@ -30,9 +30,6 @@ class InverseEngine(Protocol):
     """
 
     @property
-    def ring_id(self) -> str: ...
-
-    @property
     def star_reducing(self) -> bool: ...
 
     def mp(self, x): ...
@@ -54,12 +51,11 @@ class CachingEngine:
     ``hits`` and ``misses`` count lookups per kind, and every miss is
     one solve by the wrapped engine.  ``clear`` empties the memo and
     keeps the counters, so a caller can bound it to a scope in which
-    elements recur.  ``ring_id`` and ``star_reducing`` are read once.
+    elements recur.  ``star_reducing`` is read once.
     """
 
     def __init__(self, engine: InverseEngine):
         self.engine = engine
-        self.ring_id = engine.ring_id
         self.star_reducing = engine.star_reducing
         self._memo: dict[str, dict] = {"mp": {}, "drazin": {}}
         self.hits = {"mp": 0, "drazin": 0}

@@ -14,7 +14,6 @@ instances return an inapplicable verdict elsewhere instead of guessing.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -30,18 +29,14 @@ FAIL = "fail"
 NA = "na"
 
 
-@dataclass(frozen=True)
-class SubCheck:
-    name: str
-    status: str  # "pass" | "fail" | "na"
-
-
 @dataclass
 class TheoremVerdict:
     """Outcome of one battery on one input.
 
-    ``passed`` means applicable with no failing sub-check; sub-checks
-    marked not-applicable never count against it.  ``observations`` are
+    ``checks`` maps every declared sub-check name of the battery, in
+    declared order, to "pass", "fail" or "na".  ``passed`` means
+    applicable with no failing sub-check; sub-checks marked
+    not-applicable never count against it.  ``observations`` are
     informational booleans recorded without being asserted.  A verdict
     does not carry its inputs: a campaign record serializes the failing
     pair itself, so a failing trial can be replayed.
@@ -50,48 +45,25 @@ class TheoremVerdict:
     theorem: str
     applicable: bool
     passed: bool
-    checks: tuple[SubCheck, ...]
+    checks: dict[str, str]
     observations: dict = field(default_factory=dict)
 
     def failing_checks(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.checks if c.status == FAIL)
+        return tuple([name for name, status in self.checks.items() if status == FAIL])
 
 
-@dataclass(frozen=True)
-class ExistenceProfile:
-    """MP witnesses, None where there is none, for a family of named elements."""
-
-    witnesses: dict
-
-    def exists(self, name: str) -> bool:
-        return self.witnesses[name] is not None
-
-    def witness(self, name: str):
-        return self.witnesses[name]
-
-    def flags(self) -> tuple[bool, ...]:
-        return tuple([witness is not None for witness in self.witnesses.values()])
-
-    def all_agree(self) -> bool:
-        flags = self.flags()
-        return all(flags) or not any(flags)
-
-    def all_exist(self) -> bool:
-        return all(self.flags())
-
-
-def existence_profile(engine: InverseEngine, named_elements: dict) -> ExistenceProfile:
-    return ExistenceProfile({name: engine.mp(element) for name, element in named_elements.items()})
-
-
-# A SubCheck is immutable, so verdicts share one per (name, status).
-_sub_check = functools.cache(SubCheck)
+def _stand_together(daggers: dict) -> bool:
+    """Whether the members of a family of MP answers, None where there
+    is no inverse, all have MP inverses or all lack them."""
+    exists = [dagger is not None for dagger in daggers.values()]
+    return all(exists) or not any(exists)
 
 
 class _Verdict:
     """Records sub-check outcomes and builds the final TheoremVerdict,
-    which lists ``BATTERIES[theorem].checks`` in order, the ones never
-    reached as not applicable; by default it applies if any was reached."""
+    whose checks map ``BATTERIES[theorem].checks`` in order, the ones
+    never reached to not applicable; by default it applies if any was
+    reached."""
 
     def __init__(self, theorem: str):
         self.theorem = theorem
@@ -113,11 +85,13 @@ class _Verdict:
                 f"{self.theorem} recorded undeclared sub-checks {sorted(undeclared)}")
         if applicable is None:
             applicable = bool(self._status)
+        checks = dict.fromkeys(declared, NA)
+        checks.update(self._status)
         return TheoremVerdict(
             theorem=self.theorem,
             applicable=applicable,
             passed=applicable and FAIL not in self._status.values(),
-            checks=tuple([_sub_check(name, self._status.get(name, NA)) for name in declared]),
+            checks=checks,
             observations=self._observations,
         )
 
@@ -261,13 +235,12 @@ def thm24_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremV
     """
     p = ctx.p
     elements = _pair_elements(ctx)
-    profile = existence_profile(engine, {name: elements[name] for name in _THM24_NAMES})
+    daggers = {name: engine.mp(elements[name]) for name in _THM24_NAMES}
     v = _Verdict("thm24")
-    v.check("existence_flags_agree", profile.all_agree())
-    if profile.all_exist():
-        dag_1pqp = profile.witness("1-pqp")
-        dag_ppqp = profile.witness("p-pqp")
-        dag_1pq = profile.witness("1-pq")
+    if v.check("existence_flags_agree", _stand_together(daggers)) and daggers["1-pq"] is not None:
+        dag_1pqp = daggers["1-pqp"]
+        dag_ppqp = daggers["p-pqp"]
+        dag_1pq = daggers["1-pq"]
         v.check("corner_of_shifted_dagger", dag_ppqp == p * dag_1pqp)
         v.check("dagger_shift_identity", dag_1pqp == dag_ppqp + ctx.one - p)
         x = eq215_formula(ctx, dag_ppqp)
@@ -303,12 +276,10 @@ def _pair_elements(ctx: ProjectionPairContext) -> dict:
 def cor25_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVerdict:
     """Ten equivalent existence conditions on a *-reducing instance,
     with (p-pqp)^dag = (1-pq)^dag p when they hold."""
-    profile = existence_profile(engine, _pair_elements(ctx))
+    daggers = {name: engine.mp(x) for name, x in _pair_elements(ctx).items()}
     v = _Verdict("cor25")
-    v.check("existence_flags_agree", profile.all_agree())
-    if profile.all_exist():
-        v.check("dagger_projection_formula",
-                profile.witness("p-pqp") == profile.witness("1-pq") * ctx.p)
+    if v.check("existence_flags_agree", _stand_together(daggers)) and daggers["1-pq"] is not None:
+        v.check("dagger_projection_formula", daggers["p-pqp"] == daggers["1-pq"] * ctx.p)
     return v.build(applicable=True)
 
 
@@ -339,10 +310,11 @@ def cor26_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremV
     v = _Verdict("cor26")
     v.check("substitution_route_matches_elements",
             all(d == s for d, s in zip(direct.values(), sub.values())))
-    profile = existence_profile(engine, direct)
-    sub_profile = existence_profile(engine, sub)
-    v.check("substitution_route_matches_flags", profile.flags() == sub_profile.flags())
-    v.check("existence_flags_agree", profile.all_agree())
+    daggers = {name: engine.mp(x) for name, x in direct.items()}
+    sub_daggers = {name: engine.mp(x) for name, x in sub.items()}
+    v.check("substitution_route_matches_flags",
+            [d is None for d in daggers.values()] == [d is None for d in sub_daggers.values()])
+    v.check("existence_flags_agree", _stand_together(daggers))
     return v.build(applicable=True)
 
 
@@ -365,13 +337,13 @@ def thm27_check(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVer
 
 def cor28_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVerdict:
     """On *-reducing instances, p(1-q), p-q and (1-p)q stand together."""
-    profile = existence_profile(engine, {
-        "p(1-q)": ctx.p * ctx.q_bar,
-        "p-q": ctx.p - ctx.q,
-        "(1-p)q": ctx.p_bar * ctx.q,
-    })
+    daggers = {
+        "p(1-q)": engine.mp(ctx.p * ctx.q_bar),
+        "p-q": engine.mp(ctx.p - ctx.q),
+        "(1-p)q": engine.mp(ctx.p_bar * ctx.q),
+    }
     v = _Verdict("cor28")
-    v.check("existence_flags_agree", profile.all_agree())
+    v.check("existence_flags_agree", _stand_together(daggers))
     return v.build(applicable=True)
 
 
@@ -438,13 +410,13 @@ def cor29_chains(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVe
 
 def lemma210_battery(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVerdict:
     """On *-reducing instances, (1-p)(1-q), 1-p-q and pq stand together."""
-    profile = existence_profile(engine, {
-        "(1-p)(1-q)": ctx.p_bar * ctx.q_bar,
-        "1-p-q": ctx.one - ctx.p - ctx.q,
-        "pq": ctx.p * ctx.q,
-    })
+    daggers = {
+        "(1-p)(1-q)": engine.mp(ctx.p_bar * ctx.q_bar),
+        "1-p-q": engine.mp(ctx.one - ctx.p - ctx.q),
+        "pq": engine.mp(ctx.p * ctx.q),
+    }
     v = _Verdict("lemma210")
-    v.check("existence_flags_agree", profile.all_agree())
+    v.check("existence_flags_agree", _stand_together(daggers))
     return v.build(applicable=True)
 
 

@@ -159,9 +159,8 @@ def test_c06_chain_equalities(q_setup, qi_setup):
             verdict = cor29_chains(ctx, engine)
             assert verdict.applicable
             assert verdict.passed, verdict.failing_checks()
-            statuses = {c.name: c.status for c in verdict.checks}
-            assert statuses["chain1_all_equal"] == "pass"
-            assert statuses["chain2_all_equal"] == "pass"
+            assert verdict.checks["chain1_all_equal"] == "pass"
+            assert verdict.checks["chain2_all_equal"] == "pass"
             applied += 1
         assert applied == Q_TRIALS + QI_TRIALS
 

@@ -17,7 +17,7 @@ from starinv.campaign import (
 )
 from starinv.generators import TrialSpec
 from starinv.scalars import QI, QQ, PrimeField, TooLargeError, field_named
-from starinv.theorems import BATTERIES, FAIL, PASS, SubCheck, TheoremVerdict
+from starinv.theorems import BATTERIES, FAIL, PASS, TheoremVerdict
 from test_report_digests import DIGESTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -40,6 +40,12 @@ def test_readme_check_ids_match_registry():
     needs = {"yes": True, "no": False, "partly": False}
     for theorem, _, gate in cells:
         assert needs[gate] == BATTERIES[theorem].needs_star_reducing, theorem
+
+
+def test_readme_library_block_runs():
+    text = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_parse_ring_id():
@@ -251,8 +257,7 @@ def test_failure_record_bytes_unchanged(monkeypatch, config, digest):
 
     def planted(theorem, ctx, engine, star_reducing):
         if theorem != "lemma22" and ctx.p != ctx.q:
-            checks = (SubCheck("planted_b", FAIL), SubCheck("kept", PASS),
-                      SubCheck("planted_a", FAIL))
+            checks = {"planted_b": FAIL, "kept": PASS, "planted_a": FAIL}
             return TheoremVerdict(theorem, True, False, checks)
         return original(theorem, ctx, engine, star_reducing)
 

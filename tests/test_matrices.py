@@ -631,7 +631,6 @@ def test_matrix_ring_ids():
 def test_matrix_engine_surface():
     engine = MatrixInverseEngine(MatrixRing(QQ, 2))
     assert engine.star_reducing
-    assert engine.ring_id == "q"
     a = qmat([[F(1, 2), 0], [0, 0]])
     assert engine.mp(a) == qmat([[2, 0], [0, 0]])
     witness, k = engine.drazin(a)

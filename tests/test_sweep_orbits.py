@@ -18,7 +18,7 @@ from starinv.generators import all_projections_matrix, orthogonal_generators, pa
 from starinv.matrices import ExactMatrix, MatrixInverseEngine, MatrixRing, rank
 from starinv.ring import CachingEngine, ProjectionPairContext
 from starinv.scalars import PrimeField
-from starinv.theorems import FAIL, THEOREM_IDS, SubCheck, TheoremVerdict, run_battery
+from starinv.theorems import FAIL, THEOREM_IDS, TheoremVerdict, run_battery
 
 SWEEPS = [(2, 3), (3, 2), (3, 3), (5, 2)]
 
@@ -82,7 +82,7 @@ def test_failing_orbit_members_carry_their_own_pair(monkeypatch):
     def planted(theorem, ctx, engine, star_reducing):
         verdict = original(theorem, ctx, engine, star_reducing)
         if theorem == "lemma22" and rank(ctx.p) == 1:
-            return TheoremVerdict(theorem, True, False, (SubCheck("planted", FAIL),))
+            return TheoremVerdict(theorem, True, False, {"planted": FAIL})
         return verdict
 
     monkeypatch.setattr(campaign, "run_battery", planted)
