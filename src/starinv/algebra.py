@@ -391,8 +391,9 @@ def parse_algebra(text: str, name: str = "algebra") -> StructureConstantAlgebra:
     if dim < 1:
         raise AlgebraParseError("dimension must be positive", no)
 
-    mul_table: list[list[int | None]] = [[None] * dim for _ in range(dim)]
-    star_table: list[int | None] = [None] * dim
+    # filled only from lines read, so a large header allocates nothing
+    mul: dict[tuple[int, int], int] = {}
+    star: dict[int, int] = {}
     one_bits: int | None = None
 
     def parse_index(token: str, line_no: int) -> int:
@@ -409,14 +410,14 @@ def parse_algebra(text: str, name: str = "algebra") -> StructureConstantAlgebra:
         if len(tokens) == 5 and tokens[0] == "mul" and tokens[3] == "=":
             i = parse_index(tokens[1], no)
             j = parse_index(tokens[2], no)
-            if mul_table[i][j] is not None:
+            if (i, j) in mul:
                 raise AlgebraParseError(f"duplicate mul {i} {j}", no)
-            mul_table[i][j] = _parse_bitvector(tokens[4], dim, no)
+            mul[i, j] = _parse_bitvector(tokens[4], dim, no)
         elif len(tokens) == 4 and tokens[0] == "star" and tokens[2] == "=":
             i = parse_index(tokens[1], no)
-            if star_table[i] is not None:
+            if i in star:
                 raise AlgebraParseError(f"duplicate star {i}", no)
-            star_table[i] = _parse_bitvector(tokens[3], dim, no)
+            star[i] = _parse_bitvector(tokens[3], dim, no)
         elif len(tokens) == 3 and tokens[0] == "one" and tokens[1] == "=":
             if one_bits is not None:
                 raise AlgebraParseError("duplicate one", no)
@@ -424,18 +425,19 @@ def parse_algebra(text: str, name: str = "algebra") -> StructureConstantAlgebra:
         else:
             raise AlgebraParseError(f"unrecognized line {line!r}", no)
 
-    missing = [(i, j) for i in range(dim) for j in range(dim) if mul_table[i][j] is None]
-    if missing:
-        raise AlgebraParseError(f"missing mul entries, first is {missing[0]}")
-    if any(s is None for s in star_table):
+    if len(mul) < dim * dim:
+        # at most len(mul) pairs precede the first missing one
+        first = next((i, j) for i in range(dim) for j in range(dim) if (i, j) not in mul)
+        raise AlgebraParseError(f"missing mul entries, first is {first}")
+    if len(star) < dim:
         raise AlgebraParseError("missing star entries")
     if one_bits is None:
         raise AlgebraParseError("missing one line")
     labels = tuple(f"e{i}" for i in range(dim))
     return StructureConstantAlgebra(
         labels,
-        [[b for b in row] for row in mul_table],  # type: ignore[misc]
-        list(star_table),  # type: ignore[arg-type]
+        [[mul[i, j] for j in range(dim)] for i in range(dim)],
+        [star[i] for i in range(dim)],
         one_bits,
         name=name,
     )

@@ -4,9 +4,11 @@ Square matrices of a fixed size over one field form a ring with
 involution; the involution is the entrywise-conjugate transpose, which
 degenerates to the plain transpose over the rationals and prime fields.
 Solvers are constructive and field-generic: MP inverses come from a
-full-rank factorization and two Gram inversions, and Drazin inverses
-(group inverses at index at most 1) from Cline's formula on the same
-factorization, so no complex-field shortcut is ever assumed.
+full-rank factorization A = FG and one inversion of the r x r core
+F* A G*, which is invertible exactly when A has an MP inverse, and
+Drazin inverses (group inverses at index at most 1) from Cline's
+formula on the same factorization, so no complex-field shortcut is
+ever assumed.
 Existence failures are reported as None, not exceptions; over a prime
 field "no MP inverse" is ordinary data.  Nothing here branches on the
 type of a field: entries go through ``starinv.kernels``, and a field's
@@ -259,23 +261,16 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix | None:
         raise ValueError("inverse requires a square matrix")
     n = matrix.rows
     aug = _hstack(matrix, ExactMatrix.identity(matrix.field, n))
-    reduced, r, pivots = rref(aug)
-    if r < n or pivots[:n] != tuple(range(n)):
+    reduced, _, pivots = rref(aug)
+    if pivots[-1] >= n:  # [A | I] has rank n, so a pivot past A means A is singular
         return None
     return _submatrix(reduced, range(n), range(n, 2 * n))
 
 
-@dataclass(frozen=True)
-class RankFactorization:
-    """A = F G with F of full column rank and G of full row rank."""
-
-    F: ExactMatrix
-    G: ExactMatrix
-    rank: int
-
-
-def full_rank_factorization(matrix: ExactMatrix) -> RankFactorization:
-    """Split a nonzero matrix as (pivot columns) x (nonzero rref rows).
+def full_rank_factorization(matrix: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """Split a nonzero matrix as A = F G: F its pivot columns (full column
+    rank) and G the nonzero rows of its rref (full row rank).  The rank
+    is ``F.cols``.
 
     Raises:
         ZeroMatrixError: for the zero matrix, which has no such split;
@@ -284,32 +279,28 @@ def full_rank_factorization(matrix: ExactMatrix) -> RankFactorization:
     if matrix.is_zero():
         raise ZeroMatrixError("zero matrix has no full-rank factorization")
     reduced, r, pivots = rref(matrix)
-    f_part = _columns(matrix, pivots)
-    g_part = _submatrix(reduced, range(r), range(matrix.cols))
-    return RankFactorization(f_part, g_part, r)
+    return _columns(matrix, pivots), _submatrix(reduced, range(r), range(matrix.cols))
 
 
 def mp_inverse(matrix: ExactMatrix) -> ExactMatrix | None:
     """Moore-Penrose inverse over the matrix's field, or None.
 
-    Uses A = FG and B = G* (G G*)^-1 (F* F)^-1 F*; B exists exactly
-    when both r x r Gram matrices are invertible.  Over the rationals
-    and Gaussian rationals they always are; over a prime field a
-    singular Gram means the matrix has no MP inverse at all, which is
-    meaningful data for the equivalence batteries.
+    Uses A = FG and MacDuffee's formula B = G* (F* A G*)^-1 F*
+    (Ben-Israel and Greville, Generalized Inverses, 2003, ch. 1).  The
+    r x r core F* A G* = (F* F)(G G*) is invertible exactly when both
+    Gram matrices are, which is when B exists.  Over the rationals and
+    Gaussian rationals it always is; over a prime field a singular core
+    means the matrix has no MP inverse at all, which is meaningful data
+    for the equivalence batteries.
     """
     if matrix.is_zero():
         return ExactMatrix.zeros(matrix.field, matrix.cols, matrix.rows)
-    fact = full_rank_factorization(matrix)
-    g_star = fact.G.star()
-    f_star = fact.F.star()
-    gram_g = inverse(fact.G * g_star)
-    if gram_g is None:
+    f, g = full_rank_factorization(matrix)
+    f_star, g_star = f.star(), g.star()
+    core = inverse(f_star * matrix * g_star)
+    if core is None:
         return None
-    gram_f = inverse(f_star * fact.F)
-    if gram_f is None:
-        return None
-    return g_star * gram_g * gram_f * f_star
+    return g_star * core * f_star
 
 
 def group_inverse(matrix: ExactMatrix) -> ExactMatrix | None:
@@ -335,11 +326,13 @@ def drazin_inverse(matrix: ExactMatrix) -> tuple[ExactMatrix, int]:
 def _drazin(matrix: ExactMatrix) -> tuple[ExactMatrix, int]:
     if matrix.is_zero():
         return matrix, 1
-    fact = full_rank_factorization(matrix)
-    if fact.rank == matrix.rows:
+    f, g = full_rank_factorization(matrix)
+    if f.cols == matrix.rows:
+        # inverse() eliminates A again; one [A | I] elimination per level
+        # measured slower, as the singular levels then pay its extra width
         return inverse(matrix), 0
-    core, k = _drazin(fact.G * fact.F)
-    return fact.F * core * core * fact.G, k + 1
+    core, k = _drazin(g * f)
+    return f * core * core * g, k + 1
 
 
 def _larger_sqrt(a: int, p: int) -> int | None:

@@ -1,4 +1,6 @@
 """Checks of the table algebra: construction, products, brute force."""
+import tracemalloc
+
 import pytest
 
 from starinv.algebra import (
@@ -243,3 +245,19 @@ def test_parse_algebra_line_diagnostics():
     with pytest.raises(AlgebraParseError) as info:
         parse_algebra("algebra 1 over GF(2)\none = 1\nmul 0 0 = 2\nstar 0 = 1\n")
     assert info.value.line == 3
+
+
+def test_parse_algebra_sizes_nothing_by_the_header():
+    # the header's dimension has no bound, so only lines read may allocate
+    tracemalloc.start()
+    try:
+        with pytest.raises(AlgebraParseError) as info:
+            parse_algebra("algebra 2000 over GF(2)\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "missing mul entries, first is (0, 0)"
+    assert peak < 1 << 20
+    with pytest.raises(AlgebraParseError) as info:
+        parse_algebra("algebra 2 over GF(2)\nmul 1 1 = 01\nmul 0 0 = 10\n")
+    assert str(info.value) == "missing mul entries, first is (0, 1)"

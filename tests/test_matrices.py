@@ -50,8 +50,9 @@ def gf2mat(rows):
     return ExactMatrix.from_rows(GF2, rows)
 
 
-def all_square(field, n):
-    return [ExactMatrix(field, n, n, e) for e in itertools.product(field.elements(), repeat=n * n)]
+def all_matrices(field, rows, cols):
+    entries = itertools.product(field.elements(), repeat=rows * cols)
+    return [ExactMatrix(field, rows, cols, e) for e in entries]
 
 
 def random_qmat(rng, n, lo=-3, hi=3):
@@ -140,7 +141,7 @@ def test_rank_equals_star_rank():
         a = random_qmat(rng, 3)
         assert rank(a) == rank(a.star())
         assert rank(a.star() * a) == rank(a)
-    for a in all_square(GF2, 2):
+    for a in all_matrices(GF2, 2, 2):
         assert rank(a) == rank(a.star())
 
 
@@ -349,23 +350,23 @@ def test_kernels_reject_unknown_field():
 
 
 def test_full_rank_factorization_rank_one():
-    fact = full_rank_factorization(qmat([[1, 0], [0, 0]]))
-    assert fact.F == qmat([[1], [0]])
-    assert fact.G == qmat([[1, 0]])
-    assert fact.rank == 1
+    f, g = full_rank_factorization(qmat([[1, 0], [0, 0]]))
+    assert f == qmat([[1], [0]])
+    assert g == qmat([[1, 0]])
+    assert f.cols == 1
 
 
 def test_full_rank_factorization_scaled_row():
     a = qmat([[F(1, 2), F(1, 2)], [0, 0]])
-    fact = full_rank_factorization(a)
-    assert fact.F == qmat([[F(1, 2)], [0]])
-    assert fact.G == qmat([[1, 1]])
-    assert fact.F * fact.G == a
+    f, g = full_rank_factorization(a)
+    assert f == qmat([[F(1, 2)], [0]])
+    assert g == qmat([[1, 1]])
+    assert f * g == a
 
 
 def test_full_rank_factorization_identity():
-    fact = full_rank_factorization(ExactMatrix.identity(QQ, 3))
-    assert fact.F == fact.G == ExactMatrix.identity(QQ, 3)
+    f, g = full_rank_factorization(ExactMatrix.identity(QQ, 3))
+    assert f == g == ExactMatrix.identity(QQ, 3)
 
 
 def test_full_rank_factorization_rejects_zero():
@@ -379,9 +380,9 @@ def test_full_rank_factorization_reconstructs():
         a = random_qmat(rng, 4)
         if a.is_zero():
             continue
-        fact = full_rank_factorization(a)
-        assert fact.F * fact.G == a
-        assert rank(fact.F) == rank(fact.G) == fact.rank == rank(a)
+        f, g = full_rank_factorization(a)
+        assert f * g == a
+        assert rank(f) == rank(g) == f.cols == g.rows == rank(a)
 
 
 # ------------------------------------------------------------------ inverses
@@ -418,18 +419,75 @@ def test_mp_inverse_gf2_singular_gram():
     assert mp_inverse(gf2mat([[1, 1], [1, 1]])) is None
     # independent oracle: no candidate among all 16 passes
     a = gf2mat([[1, 1], [1, 1]])
-    assert all(not verify_mp(a, b).all for b in all_square(GF2, 2))
+    assert all(not verify_mp(a, b).all for b in all_matrices(GF2, 2, 2))
 
 
-def test_mp_inverse_gf2_matches_exhaustive_oracle():
-    matrices = all_square(GF2, 2)
-    for a in matrices:
-        witnesses = [b for b in matrices if verify_mp(a, b).all]
+@pytest.mark.parametrize(
+    "field, rows, cols",
+    [
+        pytest.param(GF2, 2, 2, id="gf2-2x2"),
+        pytest.param(GF3, 2, 2, id="gf3-2x2"),
+        pytest.param(GF2, 2, 3, id="gf2-2x3"),
+        pytest.param(GF2, 3, 2, id="gf2-3x2"),
+    ],
+)
+def test_mp_inverse_gf2_matches_exhaustive_oracle(field, rows, cols):
+    candidates = all_matrices(field, cols, rows)
+    for a in all_matrices(field, rows, cols):
+        witnesses = [b for b in candidates if verify_mp(a, b).all]
         got = mp_inverse(a)
         if witnesses:
             assert got == witnesses[0]
         else:
             assert got is None
+
+
+def two_gram_mp(a):
+    """The two-Gram formula G* (G G*)^-1 (F* F)^-1 F* on A = FG, or None
+    when either Gram matrix is singular."""
+    if a.is_zero():
+        return ExactMatrix.zeros(a.field, a.cols, a.rows)
+    f, g = full_rank_factorization(a)
+    gram_g = inverse(g * g.star())
+    gram_f = inverse(f.star() * f)
+    if gram_g is None or gram_f is None:
+        return None
+    return g.star() * gram_g * gram_f * f.star()
+
+
+def seeded_matrices(field, rows, cols, seed, count=20):
+    """Small random matrices; every second one repeats its first row last."""
+    rng = SplitMix64(seed)
+
+    def draw():
+        re = F(rng.int_between(-3, 3))
+        return re if field is QQ else GaussianRational(re, F(rng.int_between(-3, 3)))
+
+    out = []
+    for t in range(count):
+        entries = [draw() for _ in range(rows * cols)]
+        if t % 2:
+            entries[-cols:] = entries[:cols]
+        out.append(ExactMatrix(field, rows, cols, entries))
+    return out
+
+
+def test_mp_inverse_matches_two_gram_formula():
+    # MacDuffee's core F* A G* = (F* F)(G G*) is invertible exactly when
+    # both Gram matrices are, so the witness and the None must agree.
+    cases = [all_matrices(GF2, m, n) for m, n in [(2, 2), (3, 3), (2, 3), (3, 2)]]
+    cases += [all_matrices(GF3, 2, 2), all_matrices(GF3, 2, 3), all_matrices(PrimeField(5), 2, 2)]
+    for seed, (field, (m, n)) in enumerate(
+        itertools.product((QQ, QI), [(3, 3), (2, 4), (4, 2)]), start=71
+    ):
+        cases.append(seeded_matrices(field, m, n, seed))
+    nones = 0
+    for matrices in cases:
+        for a in matrices:
+            got = mp_inverse(a)
+            assert got == two_gram_mp(a)
+            nones += got is None
+    assert nones == 602
 
 
 def test_mp_inverse_rectangular_certified():
@@ -513,14 +571,14 @@ def test_drazin_over_gf2():
     # and on 2x2 matrices the witness is the only one of all p^4
     # candidates that passes verify_drazin at that index.
     for field in (GF2, GF3):
-        candidates = all_square(field, 2)
+        candidates = all_matrices(field, 2, 2)
         for a in candidates:
             k = rank_sequence_index(a)
             witness, got = drazin_inverse(a)
             assert got == k
             assert [c for c in candidates if verify_drazin(a, c, k).valid] == [witness]
             assert group_inverse(a) == (witness if k <= 1 else None)
-    for a in all_square(GF2, 3):
+    for a in all_matrices(GF2, 3, 3):
         witness, k = drazin_inverse(a)
         assert k == rank_sequence_index(a)
         assert verify_drazin(a, witness, k).valid
@@ -536,7 +594,7 @@ def test_group_inverse():
 def test_group_inverse_agrees_with_mp_for_ep_matrices():
     # When A has an MP inverse that commutes with it (A is EP), the
     # group inverse exists and the two coincide.
-    for a in all_square(GF2, 2):
+    for a in all_matrices(GF2, 2, 2):
         a_dag = mp_inverse(a)
         if a_dag is not None and a * a_dag == a_dag * a:
             assert group_inverse(a) == a_dag
