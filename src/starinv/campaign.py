@@ -19,11 +19,11 @@ from dataclasses import dataclass, fields, replace
 from ._version import __version__
 from .algebra import ExhaustiveEngine, enumerate_projections, example26_algebra
 from .generators import (
-    EXHAUSTIVE_CELL_CAP,
     TrialSpec,
     all_projections_matrix,
     orthogonal_generators,
     pair_orbits,
+    sweepable,
     trial_pair,
 )
 from .matrices import MatrixInverseEngine, MatrixRing
@@ -32,6 +32,10 @@ from .scalars import field_named
 from .theorems import THEOREM_IDS, run_battery
 
 SCHEMA_VERSION = 1
+
+# Exact elimination over Q(i) grows fast with n: 3 qi trials took 2.1 s
+# at n = 10, 2 took 14.5 s at n = 11 (Python 3.11, 2-core Xeon VM).
+MATRIX_SIZE_CAP = 10
 
 STATUS_PASSED = "passed"
 STATUS_FAILED = "failed"
@@ -235,6 +239,14 @@ def check_theorem_ids(theorems) -> None:
         raise ValueError(f"duplicate theorem ids: {', '.join(duplicates)}")
 
 
+def check_size(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= MATRIX_SIZE_CAP."""
+    if n < 1:
+        raise ValueError(f"matrix size {n} must be positive")
+    if n > MATRIX_SIZE_CAP:
+        raise ValueError(f"matrix size {n} is too large: the cap is {MATRIX_SIZE_CAP}")
+
+
 def _sweep(config: CampaignConfig, n: int, projections, representatives=None):
     """Every ordered pair of projections, with its trial spec and the
     trial index of its orbit representative (its own index when no
@@ -263,8 +275,7 @@ def _pair_stream(config: CampaignConfig):
 
     ring = MatrixRing(field_named(config.ring), config.n)
     engine = MatrixInverseEngine(ring)
-    size = ring.field.size
-    if size is not None and size ** (config.n * config.n) <= EXHAUSTIVE_CELL_CAP:
+    if sweepable(ring.field, config.n):
         projections = all_projections_matrix(config.n, ring.field)
         orbits = pair_orbits(projections, orthogonal_generators(config.n, ring.field))
         return engine, _sweep(config, config.n, projections, orbits), True
@@ -291,6 +302,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     Engine answers are memoized for the whole of a sweep and for one
     pair at a time otherwise, where a campaign-wide memo would only grow.
     """
+    check_size(config.n)
     check_theorem_ids(config.theorems)
     started = time.monotonic()
     inner, pairs, sweep = _pair_stream(config)
@@ -306,7 +318,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                 engine.clear()
             ctx = ProjectionPairContext(p, q)
             outcomes = [
-                _outcome(run_battery(theorem, ctx, engine, engine.star_reducing))
+                _outcome(run_battery(theorem, ctx, engine))
                 for theorem in theorems
             ]
             if sweep:

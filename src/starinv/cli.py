@@ -22,11 +22,12 @@ from .algebra import brute_force_mp, enumerate_projections, example26_algebra
 from .campaign import (
     THEOREM_IDS,
     CampaignConfig,
+    check_size,
     check_theorem_ids,
     parse_ring_id,
     run_campaign,
 )
-from .generators import EXHAUSTIVE_CELL_CAP, TooLargeError, all_projections_matrix
+from .generators import EXHAUSTIVE_CELL_CAP, TooLargeError, all_projections_matrix, sweepable
 from .matrices import (
     ExactMatrix,
     MatrixParseError,
@@ -153,10 +154,10 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             check_theorem_ids(theorems)
         except ValueError as exc:
             parser.error(str(exc))
-    if args.n < 1:
-        parser.error("--n must be positive")
-    if args.n * args.n > EXHAUSTIVE_CELL_CAP:
-        parser.error(f"--n {args.n} is too large: n*n must not exceed {EXHAUSTIVE_CELL_CAP}")
+    try:
+        check_size(args.n)
+    except ValueError as exc:
+        parser.error(f"--n: {exc}")
     if args.trials < 1:
         parser.error("--trials must be positive")
     config = CampaignConfig(
@@ -168,7 +169,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return report.exit_code
 
 
-def _cmd_inverse(args: argparse.Namespace) -> int:
+def _cmd_inverse(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -204,7 +205,7 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_counterexample(args: argparse.Namespace) -> int:
+def _cmd_counterexample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     evidence = counterexample_evidence()
     if args.json:
         sys.stdout.write(json.dumps(evidence, indent=2) + "\n")
@@ -237,17 +238,15 @@ def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             sys.stderr.write(f"error: {exc}\n")
             return 2
     else:
-        entries = args.n * args.n
-        # size >= 2, so capping the exponent keeps every count past the cap past it
-        if field.size ** min(entries, EXHAUSTIVE_CELL_CAP.bit_length()) > EXHAUSTIVE_CELL_CAP:
+        if not sweepable(field, args.n):
             sys.stderr.write(
-                f"error: {field.size}^{entries} matrices exceed the"
+                f"error: {field.size}^{args.n * args.n} matrices exceed the"
                 f" {EXHAUSTIVE_CELL_CAP} enumeration cap\n"
             )
             return 2
         listing = [
             matrix
-            for combo in itertools.product(field.elements(), repeat=entries)
+            for combo in itertools.product(field.elements(), repeat=args.n * args.n)
             if mp_inverse(matrix := ExactMatrix(field, args.n, args.n, list(combo))) is not None
         ]
     for matrix in listing:
@@ -273,21 +272,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--out", default=None, help="output path (default stdout)")
     verify.add_argument("--format", choices=("json", "csv"), default="json")
+    verify.set_defaults(run=_cmd_verify)
 
     inverse = sub.add_parser("inverse", help="compute a generalized inverse of a matrix file")
     inverse.add_argument("--kind", choices=("mp", "drazin", "group"), required=True)
     inverse.add_argument("--in", dest="infile", required=True, help="input matrix file")
     inverse.add_argument("--out", default=None, help="output path (default stdout)")
+    inverse.set_defaults(run=_cmd_inverse)
 
     counterexample = sub.add_parser(
         "counterexample", help="reproduce the non-*-reducing existence asymmetry"
     )
     counterexample.add_argument("--json", action="store_true", help="structured output")
+    counterexample.set_defaults(run=_cmd_counterexample)
 
     enumerate_cmd = sub.add_parser("enumerate", help="list elements of a finite instance")
     enumerate_cmd.add_argument("--ring", required=True, help="example26 | gf:<p>")
     enumerate_cmd.add_argument("--n", type=int, default=2, help="matrix size for gf rings")
     enumerate_cmd.add_argument("--what", choices=("projections", "mp-invertible"), required=True)
+    enumerate_cmd.set_defaults(run=_cmd_enumerate)
 
     return parser
 
@@ -296,18 +299,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "verify":
-            return _cmd_verify(args, parser)
-        if args.command == "inverse":
-            return _cmd_inverse(args)
-        if args.command == "counterexample":
-            return _cmd_counterexample(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, parser)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return 2
 
 
 if __name__ == "__main__":

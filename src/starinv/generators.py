@@ -4,7 +4,8 @@ The stream generator is SplitMix64, chosen because it is a small,
 well-known 64-bit mixing generator whose per-trial streams can be
 derived independently from (campaign seed, trial index); replaying a
 recorded trial never depends on how many trials ran before it.
-Bounded integer draws use rejection, so no modulo bias.
+Bounded integer draws use rejection, so no modulo bias.  ``sweepable``
+is the one rule for when a matrix ring is swept instead of sampled.
 """
 from __future__ import annotations
 
@@ -27,6 +28,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 EXHAUSTIVE_CELL_CAP = 1 << 20
+
+GRAM_TRIES = 100  # singular Gram matrices random_projection redraws
 
 # Random rational and Gaussian-rational entries are small integers so
 # the Gram inversions keep intermediate fractions desk-sized.
@@ -118,33 +121,32 @@ def random_matrix(field: Field, rows: int, cols: int, rng: SplitMix64) -> ExactM
     return ExactMatrix(field, rows, cols, [sample_entry(field, rng) for _ in range(rows * cols)])
 
 
-def random_projection(
-    ring: MatrixRing, n: int, rank: int, rng: SplitMix64, max_tries: int = 100
-) -> ExactMatrix:
-    """A projection of the requested rank: e = v (v* v)^-1 v*.
+def random_projection(ring: MatrixRing, rank: int, rng: SplitMix64) -> ExactMatrix:
+    """A ring.n x ring.n projection of the requested rank: e = v (v* v)^-1 v*.
 
     Samples an n x rank matrix v until its Gram matrix is invertible;
     then e is self-adjoint, idempotent, and of rank exactly ``rank``.
     Rank 0 and rank n short-circuit to the zero and identity matrices.
 
     Raises:
-        GenerationFailedError: after max_tries singular Grams, which
+        GenerationFailedError: after GRAM_TRIES singular Grams, which
             can happen over small prime fields.
     """
+    n = ring.n
     if not 0 <= rank <= n:
         raise ValueError("rank out of range")
     if rank == 0:
-        return ExactMatrix.zeros(ring.field, n, n)
+        return ring.zero()
     if rank == n:
-        return ExactMatrix.identity(ring.field, n)
-    for _ in range(max_tries):
+        return ring.one()
+    for _ in range(GRAM_TRIES):
         v = random_matrix(ring.field, n, rank, rng)
         gram = inverse(v.star() * v)
         if gram is None:
             continue
         return v * gram * v.star()
     raise GenerationFailedError(
-        f"no invertible Gram matrix in {max_tries} tries (ring {ring.ring_id}, rank {rank})"
+        f"no invertible Gram matrix in {GRAM_TRIES} tries (ring {ring.ring_id}, rank {rank})"
     )
 
 
@@ -158,8 +160,8 @@ def trial_pair(ring: MatrixRing, seed: int, trial: int) -> tuple[TrialSpec, Exac
     n = ring.n
     rank_p = rng.int_between(0, n)
     rank_q = rng.int_between(0, n)
-    p = random_projection(ring, n, rank_p, rng)
-    q = random_projection(ring, n, rank_q, rng)
+    p = random_projection(ring, rank_p, rng)
+    q = random_projection(ring, rank_q, rng)
     spec = TrialSpec(ring.ring_id, n, rank_p, rank_q, seed, trial)
     return spec, p, q
 
@@ -172,6 +174,18 @@ def pair_from_spec(ring: MatrixRing, spec: TrialSpec) -> tuple[ExactMatrix, Exac
     if (replay.rank_p, replay.rank_q) != (spec.rank_p, spec.rank_q):
         raise ValueError("spec ranks do not match the deterministic stream")
     return p, q
+
+
+def sweepable(field: Field, n: int) -> bool:
+    """Whether |F|^(n^2) <= EXHAUSTIVE_CELL_CAP; never for an infinite F.
+
+    The exponent is clamped: with |F| >= 2 a count past the cap stays
+    past it, so a huge n answers at once.
+    """
+    size = field.size
+    if size is None:
+        return False
+    return size ** min(n * n, EXHAUSTIVE_CELL_CAP.bit_length()) <= EXHAUSTIVE_CELL_CAP
 
 
 def subspace_count(n: int, size: int, cap: int) -> int:

@@ -335,63 +335,38 @@ def _drazin(matrix: ExactMatrix) -> tuple[ExactMatrix, int]:
     return f * core * core * g, k + 1
 
 
-def _larger_sqrt(a: int, p: int) -> int | None:
-    """max(r, p - r) for the square roots r of a mod an odd prime p, or None.
-
-    Euler's criterion decides whether a is a square; Tonelli-Shanks
-    finds a root without tabulating the squares.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    half = (p - 1) // 2
-    if pow(a, half, p) != 1:
-        return None
-    odd, twos = p - 1, 0
-    while odd % 2 == 0:
-        odd //= 2
-        twos += 1
-    z = 2
-    while pow(z, half, p) != p - 1:
-        z += 1
-    c, t, r = pow(z, odd, p), pow(a, odd, p), pow(a, (odd + 1) // 2, p)
-    while t != 1:
-        i, t_power = 0, t
-        while t_power != 1:
-            t_power = t_power * t_power % p
-            i += 1
-        b = pow(c, 1 << (twos - i - 1), p)
-        twos, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return max(r, p - r)
-
-
 def isotropic_vector(p: int, n: int) -> tuple[int, ...] | None:
     """A nonzero v over GF(p) with sum(v_i^2) = 0, or None if none exists.
 
     Existence is what makes the n x n transpose ring fail to be
     *-reducing: place v in one column of an otherwise zero matrix and
-    A* A vanishes while A does not.  Square roots are taken as the
-    larger of the two, max(r, p - r).
+    A* A vanishes while A does not.  Roots are closed-form powers
+    (Cohen, A Course in Computational Algebraic Number Theory, 1993,
+    sec. 1.5), the larger root max(r, p - r) kept: sqrt(-1) = z^((p-1)/4)
+    for the least non-residue z when p = 1 (mod 4); when p = 3 (mod 4),
+    -1 is no square and a square a has the roots +-a^((p+1)/4).
     """
     if n < 1:
         raise ValueError("dimension must be positive")
-    if p == 2:
-        if n >= 2:
-            return (1, 1) + (0,) * (n - 2)
-        return None
     if n == 1:
         return None
+    if p == 2:
+        return (1, 1) + (0,) * (n - 2)
+    if p % 4 == 1:
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        root = pow(z, (p - 1) // 4, p)
+        root = max(root, p - root)
+        return (1, root) if n == 2 else (root, 0, 1) + (0,) * (n - 3)
     if n == 2:
-        root = _larger_sqrt(-1, p)
-        if root is None:
-            return None
-        return (1, root)
-    # n >= 3: x^2 + y^2 = -1 always has a solution mod an odd prime.
+        return None
+    # x^2 + y^2 = -1 always has a solution mod an odd prime.
     for y in range(p):
-        x = _larger_sqrt(-1 - y * y, p)
-        if x is not None:
-            return (x, y, 1) + (0,) * (n - 3)
+        a = (-1 - y * y) % p
+        x = pow(a, (p + 1) // 4, p)
+        if x * x % p == a:
+            return (max(x, p - x), y, 1) + (0,) * (n - 3)
     raise AssertionError("unreachable: x^2 + y^2 = -1 is always solvable mod p")
 
 

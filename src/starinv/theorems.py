@@ -1,16 +1,17 @@
 """Identity checkers, formula constructors, and existence batteries.
 
-Each battery takes a projection-pair context (or, for the element-level
-checks, one element) plus an inverse engine for the concrete ring
-instance and returns a structured verdict.  Existence decisions always
-come from the engine, never from the statement being checked, and every
-constructed formula is certified against the defining equations before
-a verdict says it passed.
+Each battery takes a projection-pair context plus an inverse engine for
+the concrete ring instance and returns a structured verdict (lemma21
+and lemma212 check one element, registered on r = pq).  Existence
+decisions always come from the engine, never from the statement being
+checked, and every constructed formula is certified against the
+defining equations before a verdict says it passed.
 
 BATTERIES is the one table of battery ids, in paper order, and of each
 battery's sub-check names.  ``run_battery`` dispatches through it and
-applies the *-reducing gate: batteries only claimed for *-reducing
-instances return an inapplicable verdict elsewhere instead of guessing.
+applies the *-reducing gate of ``engine.star_reducing``: batteries only
+claimed for *-reducing instances return an inapplicable verdict
+elsewhere instead of guessing.  ``BATTERIES[id].fn`` runs ungated.
 """
 from __future__ import annotations
 
@@ -500,49 +501,53 @@ def thm214_check(ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVe
 
 
 class Battery(NamedTuple):
-    fn: Callable[..., TheoremVerdict]
+    fn: Callable[[ProjectionPairContext, InverseEngine], TheoremVerdict]
     needs_star_reducing: bool
-    element_level: bool  # applied to r = pq rather than to the pair
     checks: tuple[str, ...]  # every sub-check name, in verdict order
+
+
+def _on_pq(check: Callable) -> Callable:
+    """The pair battery that runs an element-level check on r = pq."""
+    return lambda ctx, engine: check(ctx.p * ctx.q, engine)
 
 
 # The paper's checks, in paper order; README's check-id table holds the
 # same ids and *-reducing flags, and a test keeps the two in step.
 BATTERIES = {
-    "lemma21": Battery(lemma21_checks, False, True, (
+    "lemma21": Battery(_on_pq(lemma21_checks), False, (
         "star_product_mp_exists", "star_product_dagger_factors", "dagger_from_star_product",
         "product_star_mp_exists", "product_star_dagger_factors", "dagger_from_product_star",
         "star_dagger_exchange", "gram_membership_recovers_mp")),
-    "lemma22": Battery(lemma22_identities, False, False, (
+    "lemma22": Battery(lemma22_identities, False, (
         "bb_star_quadratic", "b_star_b_quadratic", "d_b_star_exchange")),
-    "lemma23": Battery(lemma23_identities, False, False, (
+    "lemma23": Battery(lemma23_identities, False, (
         "range_projection_fixes_b", "b_fixed_by_d_projection", "b_dagger_exchange",
         "dagger_b_star_exchange", "difference_formula_constructible",
         "difference_formula_certified")),
-    "thm24": Battery(thm24_battery, False, False, (
+    "thm24": Battery(thm24_battery, False, (
         "existence_flags_agree", "corner_of_shifted_dagger", "dagger_shift_identity",
         "explicit_formula_certified", "explicit_formula_unique",
         "corner_extraction_certified", "corner_extraction_unique")),
-    "cor25": Battery(cor25_battery, True, False, (
+    "cor25": Battery(cor25_battery, True, (
         "existence_flags_agree", "dagger_projection_formula")),
-    "cor26": Battery(cor26_battery, True, False, (
+    "cor26": Battery(cor26_battery, True, (
         "substitution_route_matches_elements", "substitution_route_matches_flags",
         "existence_flags_agree")),
-    "thm27": Battery(thm27_check, False, False, (
+    "thm27": Battery(thm27_check, False, (
         "biconditional", "difference_dagger_projection_formula")),
-    "cor28": Battery(cor28_battery, True, False, ("existence_flags_agree",)),
-    "cor29": Battery(cor29_chains, True, False, (
+    "cor28": Battery(cor28_battery, True, ("existence_flags_agree",)),
+    "cor29": Battery(cor29_chains, True, (
         "chain1_daggers_exist", "chain1_all_equal", "chain2_daggers_exist",
         "chain2_all_equal")),
-    "lemma210": Battery(lemma210_battery, True, False, ("existence_flags_agree",)),
-    "lemma211": Battery(lemma211_check, False, False, (
+    "lemma210": Battery(lemma210_battery, True, ("existence_flags_agree",)),
+    "lemma211": Battery(lemma211_check, False, (
         "drazin_biconditional", "skew_square_drazin_exists", "guarded_index_bound")),
-    "lemma212": Battery(lemma212_check, False, True, (
+    "lemma212": Battery(_on_pq(lemma212_check), False, (
         "sum_route_membership", "sum_route_index_bound",
         "difference_route_membership", "difference_route_index_bound")),
-    "thm213": Battery(thm213_check, True, False, (
+    "thm213": Battery(thm213_check, True, (
         "biconditional", "square_dagger_identity")),
-    "thm214": Battery(thm214_check, True, False, (
+    "thm214": Battery(thm214_check, True, (
         "biconditional", "shifted_sum_mp_exists", "anticommutator_formula_certified",
         "anticommutator_formula_unique")),
 }
@@ -550,18 +555,15 @@ BATTERIES = {
 THEOREM_IDS = tuple(BATTERIES)
 
 
-def run_battery(
-    theorem: str, ctx: ProjectionPairContext, engine: InverseEngine, star_reducing: bool
-) -> TheoremVerdict:
+def run_battery(theorem: str, ctx: ProjectionPairContext, engine: InverseEngine) -> TheoremVerdict:
     """Run one battery id on one pair.
 
     Batteries that need a *-reducing instance are not applicable when
-    ``star_reducing`` is false.  The element-level checks (lemma21,
-    lemma212) are applied to the product pq derived from the pair.
+    ``engine.star_reducing`` is false, the flag lemma21 reads too.
     """
     if theorem not in BATTERIES:
         raise ValueError(f"unknown theorem id {theorem!r}")
     battery = BATTERIES[theorem]
-    if battery.needs_star_reducing and not star_reducing:
+    if battery.needs_star_reducing and not engine.star_reducing:
         return _Verdict(theorem).build(applicable=False)
-    return battery.fn(ctx.p * ctx.q if battery.element_level else ctx, engine)
+    return battery.fn(ctx, engine)

@@ -92,6 +92,20 @@ def test_unknown_theorem_rejected():
         run_campaign(CampaignConfig(ring="q", n=2, trials=2, theorems=("thm24", "thm24")))
 
 
+def test_matrix_size_is_capped(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("built pairs for a size past the cap")
+
+    monkeypatch.setattr(campaign, "trial_pair", must_not_run)
+    for n in (0, -1, campaign.MATRIX_SIZE_CAP + 1, 10**9):
+        with pytest.raises(ValueError):
+            campaign.check_size(n)
+    with pytest.raises(ValueError, match="too large"):
+        run_campaign(CampaignConfig("qi", n=11))
+    campaign.check_size(1)
+    campaign.check_size(campaign.MATRIX_SIZE_CAP)
+
+
 def test_example26_campaign_is_exhaustive():
     report = run_campaign(CampaignConfig(ring="example26", theorems=("thm24",)))
     counts = report.counts["thm24"]
@@ -255,11 +269,11 @@ FAILURE_DIGESTS = [
 def test_failure_record_bytes_unchanged(monkeypatch, config, digest):
     original = campaign.run_battery
 
-    def planted(theorem, ctx, engine, star_reducing):
+    def planted(theorem, ctx, engine):
         if theorem != "lemma22" and ctx.p != ctx.q:
             checks = {"planted_b": FAIL, "kept": PASS, "planted_a": FAIL}
             return TheoremVerdict(theorem, True, False, checks)
-        return original(theorem, ctx, engine, star_reducing)
+        return original(theorem, ctx, engine)
 
     monkeypatch.setattr(campaign, "run_battery", planted)
     report = run_campaign(config)

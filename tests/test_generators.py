@@ -11,6 +11,7 @@ from starinv.generators import (
     pair_from_spec,
     random_projection,
     subspace_count,
+    sweepable,
     trial_pair,
     trial_stream_seed,
 )
@@ -66,7 +67,7 @@ def test_random_projection_rank_and_idempotence(field, n):
     ring = MatrixRing(field, n)
     rng = SplitMix64(42)
     for requested in range(n + 1):
-        e = random_projection(ring, n, requested, rng)
+        e = random_projection(ring, requested, rng)
         assert is_projection(e)
         assert rank(e) == requested
 
@@ -74,13 +75,19 @@ def test_random_projection_rank_and_idempotence(field, n):
 def test_random_projection_shortcuts():
     ring = MatrixRing(QQ, 3)
     rng = SplitMix64(0)
-    assert random_projection(ring, 3, 0, rng) == ExactMatrix.zeros(QQ, 3, 3)
-    assert random_projection(ring, 3, 3, rng) == ExactMatrix.identity(QQ, 3)
+    assert random_projection(ring, 0, rng) == ExactMatrix.zeros(QQ, 3, 3)
+    assert random_projection(ring, 3, rng) == ExactMatrix.identity(QQ, 3)
     with pytest.raises(ValueError):
-        random_projection(ring, 3, 4, rng)
+        random_projection(ring, 4, rng)
 
 
-def test_random_projection_retry_budget():
+def test_random_projection_has_the_ring_size():
+    e = random_projection(MatrixRing(QQ, 3), 2, SplitMix64(0))
+    assert (e.rows, e.cols) == (3, 3)
+    assert is_projection(e) and rank(e) == 2
+
+
+def test_random_projection_retry_budget(monkeypatch):
     class AlwaysOnes:
         # duck-typed stream whose samples give a singular Gram over GF(2)
         def int_between(self, lo, hi):
@@ -89,9 +96,10 @@ def test_random_projection_retry_budget():
         def below(self, bound):
             return 1 % bound
 
+    monkeypatch.setattr(generators, "GRAM_TRIES", 5)
     ring = MatrixRing(GF2, 2)
-    with pytest.raises(GenerationFailedError):
-        random_projection(ring, 2, 1, AlwaysOnes(), max_tries=5)
+    with pytest.raises(GenerationFailedError, match="in 5 tries"):
+        random_projection(ring, 1, AlwaysOnes())
 
 
 def test_trial_pair_determinism():
@@ -179,6 +187,14 @@ def test_subspace_count_is_the_galois_number():
     assert subspace_count(4, 7, 10**9) == 3652
     assert subspace_count(9, 2, 10**9) == 8283458
     assert subspace_count(1000, 2, EXHAUSTIVE_CELL_CAP) > EXHAUSTIVE_CELL_CAP
+
+
+def test_sweepable_is_the_cell_cap():
+    # 2^16 and 31^4 = 923,521 matrices fit under 2^20; 2^25 and 37^4 do not
+    assert sweepable(GF2, 4) and not sweepable(GF2, 5)
+    assert sweepable(PrimeField(31), 2) and not sweepable(PrimeField(37), 2)
+    assert not sweepable(QQ, 1) and not sweepable(QI, 1)
+    assert not sweepable(GF2, 10**9)  # the exponent is clamped, so this is instant
 
 
 def test_all_projections_rejects_nonpositive_size():

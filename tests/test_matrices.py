@@ -649,6 +649,57 @@ def test_isotropic_vector_matches_square_table():
             assert isotropic_vector(p, n) == tabulated_isotropic_vector(p, n), (p, n)
 
 
+def _larger_sqrt(a, p):
+    """Reference: max(r, p - r) for the square roots r of a mod an odd
+    prime p, or None, by Euler's criterion and Tonelli-Shanks."""
+    a %= p
+    if a == 0:
+        return 0
+    half = (p - 1) // 2
+    if pow(a, half, p) != 1:
+        return None
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    z = 2
+    while pow(z, half, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, odd, p), pow(a, odd, p), pow(a, (odd + 1) // 2, p)
+    while t != 1:
+        i, t_power = 0, t
+        while t_power != 1:
+            t_power = t_power * t_power % p
+            i += 1
+        b = pow(c, 1 << (twos - i - 1), p)
+        twos, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return max(r, p - r)
+
+
+def tonelli_shanks_isotropic_vector(p, n):
+    """Reference: the first isotropic vector, roots by Tonelli-Shanks."""
+    if p == 2:
+        return (1, 1) + (0,) * (n - 2) if n >= 2 else None
+    if n == 1:
+        return None
+    if n == 2:
+        root = _larger_sqrt(-1, p)
+        return None if root is None else (1, root)
+    for y in range(p):
+        x = _larger_sqrt(-1 - y * y, p)
+        if x is not None:
+            return (x, y, 1) + (0,) * (n - 3)
+
+
+def test_isotropic_vector_matches_tonelli_shanks():
+    # 1048573 = 1 (mod 4) and 1048571 = 3 (mod 4), the two largest primes below the cap
+    primes = [p for p in range(2, 2000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for p in primes + [1048573, 1048571]:
+        for n in range(1, 6):
+            assert isotropic_vector(p, n) == tonelli_shanks_isotropic_vector(p, n), (p, n)
+
+
 def test_isotropic_vector_needs_no_square_table():
     p = 1048573  # largest prime below scalars.MODULUS_CAP; -1 is a square mod p
     tracemalloc.start()

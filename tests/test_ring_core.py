@@ -127,8 +127,8 @@ def _random_pairs(ring_id, ring, count, seed):
     rng = SplitMix64(seed)
     for _ in range(count):
         n = ring.n
-        a = random_projection(ring, n, rng.int_between(0, n), rng)
-        b = random_projection(ring, n, rng.int_between(0, n), rng)
+        a = random_projection(ring, rng.int_between(0, n), rng)
+        b = random_projection(ring, rng.int_between(0, n), rng)
         yield a, b
 
 

@@ -18,7 +18,7 @@ from starinv.generators import all_projections_matrix, orthogonal_generators, pa
 from starinv.matrices import ExactMatrix, MatrixInverseEngine, MatrixRing, rank
 from starinv.ring import CachingEngine, ProjectionPairContext
 from starinv.scalars import PrimeField
-from starinv.theorems import FAIL, THEOREM_IDS, TheoremVerdict, run_battery
+from starinv.theorems import BATTERIES, FAIL, THEOREM_IDS, TheoremVerdict
 
 SWEEPS = [(2, 3), (3, 2), (3, 3), (5, 2)]
 
@@ -79,8 +79,8 @@ def test_failing_orbit_members_carry_their_own_pair(monkeypatch):
     config = CampaignConfig(ring="gf:3", n=3, theorems=("lemma22", "thm24"))
     original = campaign.run_battery
 
-    def planted(theorem, ctx, engine, star_reducing):
-        verdict = original(theorem, ctx, engine, star_reducing)
+    def planted(theorem, ctx, engine):
+        verdict = original(theorem, ctx, engine)
         if theorem == "lemma22" and rank(ctx.p) == 1:
             return TheoremVerdict(theorem, True, False, {"planted": FAIL})
         return verdict
@@ -164,8 +164,8 @@ def test_batteries_are_invariant_under_a_random_conjugation(p, n):
         moved = ProjectionPairContext(conjugate(u, p_), conjugate(u, q_))
         # ungated, so the *-reducing batteries run on every ring
         for theorem in THEOREM_IDS:
-            a = run_battery(theorem, original, engine, True)
-            b = run_battery(theorem, moved, engine, True)
+            a = BATTERIES[theorem].fn(original, engine)
+            b = BATTERIES[theorem].fn(moved, engine)
             assert (a.applicable, a.passed, a.failing_checks(), a.observations) == (
                 b.applicable, b.passed, b.failing_checks(), b.observations
             ), (theorem, p_, q_, u)

@@ -40,6 +40,15 @@ RING2 = MatrixRing(QQ, 2)
 ENGINE2 = MatrixInverseEngine(RING2)
 
 
+class NotStarReducingEngine(MatrixInverseEngine):
+    """ENGINE2's solves on an engine that reports no *-reducing ring."""
+
+    star_reducing = False
+
+
+UNREDUCED2 = NotStarReducingEngine(RING2)
+
+
 def qmat(rows):
     return ExactMatrix.from_rows(QQ, [[F(e) for e in row] for row in rows])
 
@@ -76,8 +85,8 @@ def equal_pair_ctx(ring):
 def random_pairs(ring, count, seed):
     rng = SplitMix64(seed)
     for _ in range(count):
-        p = random_projection(ring, ring.n, rng.int_between(0, ring.n), rng)
-        q = random_projection(ring, ring.n, rng.int_between(0, ring.n), rng)
+        p = random_projection(ring, rng.int_between(0, ring.n), rng)
+        q = random_projection(ring, rng.int_between(0, ring.n), rng)
         yield ProjectionPairContext(p, q)
 
 
@@ -306,7 +315,7 @@ def test_cor25_equal_pair():
 
 
 def test_cor25_not_applicable_without_reducing(alg_pair, alg_engine):
-    verdict = run_battery("cor25", alg_pair, alg_engine, False)
+    verdict = run_battery("cor25", alg_pair, alg_engine)
     assert not verdict.applicable
 
 
@@ -380,7 +389,7 @@ def test_thm27_exhaustive_example26(alg, alg_engine):
 def test_cor28(canonical):
     assert_passed(cor28_battery(canonical, ENGINE2))
     assert_passed(cor28_battery(equal_pair_ctx(RING2), ENGINE2))
-    assert not run_battery("cor28", canonical, ENGINE2, False).applicable
+    assert not run_battery("cor28", canonical, UNREDUCED2).applicable
 
 
 def test_cor29_canonical(canonical):
@@ -410,7 +419,7 @@ def test_lemma210(canonical):
     assert_passed(lemma210_battery(ProjectionPairContext(one, one), ENGINE2))
     zero = RING2.zero()
     assert_passed(lemma210_battery(ProjectionPairContext(zero, zero), ENGINE2))
-    assert not run_battery("lemma210", canonical, ENGINE2, False).applicable
+    assert not run_battery("lemma210", canonical, UNREDUCED2).applicable
 
 
 def test_lemma211_equal_pair():
@@ -481,7 +490,7 @@ def test_thm213_canonical(canonical):
 
 
 def test_thm213_gated(canonical):
-    assert not run_battery("thm213", canonical, ENGINE2, False).applicable
+    assert not run_battery("thm213", canonical, UNREDUCED2).applicable
 
 
 def test_thm214_equal_pair_formula_via_solver():
@@ -590,7 +599,7 @@ def verdicts_on_sweeps(alg, alg_engine):
 
 def _all_batteries(pairs, engine):
     return [
-        battery.fn(ctx.p * ctx.q if battery.element_level else ctx, engine)
+        battery.fn(ctx, engine)
         for ctx in pairs
         for battery in theorems.BATTERIES.values()
     ]
@@ -615,7 +624,7 @@ def test_every_declared_check_is_reached(verdicts_on_sweeps):
 def test_gated_verdict_lists_every_check_not_applicable(canonical):
     for theorem, battery in theorems.BATTERIES.items():
         if battery.needs_star_reducing:
-            verdict = run_battery(theorem, canonical, ENGINE2, False)
+            verdict = run_battery(theorem, canonical, UNREDUCED2)
             assert not verdict.applicable and not verdict.passed
             assert verdict.checks == dict.fromkeys(battery.checks, theorems.NA)
 
