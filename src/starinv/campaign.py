@@ -33,9 +33,9 @@ from .theorems import THEOREM_IDS, run_battery
 
 SCHEMA_VERSION = 1
 
-# Exact elimination over Q(i) grows fast with n: 3 qi trials took 2.1 s
-# at n = 10, 2 took 14.5 s at n = 11 (Python 3.11, 2-core Xeon VM).
-MATRIX_SIZE_CAP = 10
+# Exact elimination over Q(i) grows fast with n: 3 qi trials took up to
+# 1.6 s at n = 12 and 15.8 s at n = 16 (Python 3.11, 2-core Xeon VM).
+MATRIX_SIZE_CAP = 12
 
 STATUS_PASSED = "passed"
 STATUS_FAILED = "failed"

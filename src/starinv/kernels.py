@@ -5,11 +5,11 @@ integers over one positive denominator ``den``, kept canonical by
 gcd(*num, den) == 1, so equal matrices store equal tuples.  Over Q
 ``num`` holds the numerators in row-major order; over Q(i) the real
 block, then the imaginary block; over GF(p) the residues in [0, p),
-with ``den`` 1.  The kernels compute on that form, after the idea of
-Bareiss's integer-preserving elimination (Math. Comp. 22, 1968):
-elimination cross-multiplies integer rows, and each result is divided
-once, by its common denominator.  ``unpack`` is the only place a
-``Fraction`` or a ``GaussianRational`` is built.
+with ``den`` 1.  The kernels compute on that form.  Elimination keeps
+integer rows small per field: over Q by row gcds and the lcm of the
+pivots, over Q(i) by exact division by the previous pivot (Bareiss,
+Math. Comp. 22, 1968), over GF(p) by unit pivots.  ``unpack`` is the
+only place a ``Fraction`` or a ``GaussianRational`` is built.
 """
 from __future__ import annotations
 
@@ -50,12 +50,6 @@ def _primitive(row: Sequence[int]) -> Sequence[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _primitive_pair(re: Sequence[int], im: Sequence[int]) -> tuple:
-    """A Gaussian integer row divided by the gcd of all its parts."""
-    g = gcd(*re, *im)
-    return ([x // g for x in re], [x // g for x in im]) if g > 1 else (re, im)
-
-
 def _star_transpose(field: Field, num: Sequence[int], rows: int, cols: int) -> tuple[int, ...]:
     """The involution over Q and GF(p): the plain transpose."""
     return tuple([x for j in range(cols) for x in num[j::cols]])
@@ -88,7 +82,9 @@ def _product_q(field: Field, a: Sequence[int], da: int, k: int, b: Sequence[int]
 def _rref_q(field: Field, num: Sequence[int], m: int, n: int):
     """Integer-row Gauss-Jordan: rows are made primitive, elimination
     cross-multiplies by the pivot, and each pivot row is divided by its
-    pivot last, over the lcm of the pivots."""
+    pivot last, over the lcm of the pivots.  Exact division as over Q(i)
+    was slower here: 3 q trials took 1.6 s, not 0.56 s, at n = 16 and
+    14.5 s, not 1.8 s, at n = 24 (Python 3.11, 2-core Xeon VM)."""
     rows = [_primitive(num[i * n : (i + 1) * n]) for i in range(m)]
     pivots: list[int] = []
     r = 0
@@ -143,20 +139,20 @@ def _product_qi(field: Field, a: Sequence[int], da: int, k: int, b: Sequence[int
 
 
 def _rref_qi(field: Field, num: Sequence[int], m: int, n: int):
-    """Integer-row Gauss-Jordan over the Gaussian integers.
+    """Fraction-free Gauss-Jordan over the Gaussian integers.
 
-    A row is a pair (real parts, imaginary parts).  Elimination
-    cross-multiplies by the pivot; at the end each pivot row is
-    multiplied by the conjugate of its pivot and divided by its norm,
-    over the lcm of the norms.
+    A row is a pair (real parts, imaginary parts).  Each step sets every
+    other row to (p * row - x * top) / p0 for pivot p, the row's entry x
+    in the pivot column and the previous pivot p0 (1 at the start).  The
+    division is exact and keeps each entry a minor of the input (Bareiss;
+    Nakos, Turner and Williams, ACM SIGSAM Bull. 31(3), 1997), and every
+    pivot ends equal to the last, so the result is the rows over it.
     """
     half = m * n
-    rows = [
-        _primitive_pair(num[i * n : (i + 1) * n], num[half + i * n : half + (i + 1) * n])
-        for i in range(m)
-    ]
+    rows = [(num[i * n : (i + 1) * n], num[half + i * n : half + (i + 1) * n]) for i in range(m)]
     pivots: list[int] = []
     r = 0
+    pa, pb = 1, 0
     for col in range(n):
         if r == m:
             break
@@ -166,28 +162,26 @@ def _rref_qi(field: Field, num: Sequence[int], m: int, n: int):
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         top_re, top_im = rows[r]
         a, b = top_re[col], top_im[col]
+        same = a == pa and b == pb
+        norm = pa * pa + pb * pb
         for i in range(m):
             x_re, x_im = rows[i]
             c, d = x_re[col], x_im[col]
-            if i != r and (c or d):
-                # (a + bi) * row - (c + di) * top
-                quads = list(zip(x_re, x_im, top_re, top_im))
-                rows[i] = _primitive_pair(
-                    [a * u - b * v - c * s + d * t for u, v, s, t in quads],
-                    [a * v + b * u - c * t - d * s for u, v, s, t in quads],
-                )
+            if i == r or (same and not (c or d)):
+                continue  # such a row is unchanged by the update
+            # (a + bi) * row - (c + di) * top
+            quads = list(zip(x_re, x_im, top_re, top_im))
+            re = [a * u - b * v - c * s + d * t for u, v, s, t in quads]
+            im = [a * v + b * u - c * t - d * s for u, v, s, t in quads]
+            if pb or pa != 1:  # times the conjugate of pa + pb i, exactly over its norm
+                re, im = ([(u * pa + v * pb) // norm for u, v in zip(re, im)],
+                          [(v * pa - u * pb) // norm for u, v in zip(re, im)])
+            rows[i] = (re, im)
         pivots.append(col)
         r += 1
-    leads = [(rows[i][0][c], rows[i][1][c]) for i, c in enumerate(pivots)]
-    norms = [a * a + b * b for a, b in leads]
-    den = lcm(*norms)
-    out_re, out_im = [], []
-    for (x_re, x_im), (a, b), norm in zip(rows, leads, norms):
-        s = den // norm
-        out_re += [(u * a + v * b) * s for u, v in zip(x_re, x_im)]
-        out_im += [(v * a - u * b) * s for u, v in zip(x_re, x_im)]
-    pad = [0] * ((m - r) * n)
-    return (*canonical(out_re + pad + out_im + pad, den), r, pivots)
+        pa, pb = a, b
+    out = [(u * pa + v * pb, v * pa - u * pb) for x_re, x_im in rows for u, v in zip(x_re, x_im)]
+    return (*canonical([x for x, _ in out] + [y for _, y in out], pa * pa + pb * pb), r, pivots)
 
 
 # ---------------------------------------------------------------- GF(p)

@@ -101,7 +101,7 @@ def test_matrix_size_is_capped(monkeypatch):
         with pytest.raises(ValueError):
             campaign.check_size(n)
     with pytest.raises(ValueError, match="too large"):
-        run_campaign(CampaignConfig("qi", n=11))
+        run_campaign(CampaignConfig("qi", n=campaign.MATRIX_SIZE_CAP + 1))
     campaign.check_size(1)
     campaign.check_size(campaign.MATRIX_SIZE_CAP)
 

@@ -59,7 +59,7 @@ def test_verify_rejects_oversized_n(capsys, monkeypatch):
 
     monkeypatch.setattr(ExactMatrix, "__init__", must_not_run)
     monkeypatch.setattr(cli, "run_campaign", must_not_run)
-    for n in ("18446744073709551616", "2000", "11"):  # past the cap of 10
+    for n in ("18446744073709551616", "2000", "13"):  # past the cap of 12
         code, _, err = run_cli(capsys, "verify", "--ring", "q", "--n", n)
         assert code == 2
         assert "too large" in err

@@ -16,7 +16,7 @@ import pytest
 import scalar_oracle as oracle
 
 from starinv import matrices, scalars
-from starinv.generators import SplitMix64
+from starinv.generators import SplitMix64, random_matrix
 from starinv.matrices import (
     ExactMatrix,
     MatrixInverseEngine,
@@ -266,11 +266,63 @@ def test_product_kernel_matches_scalar_loop(field):
         assert_canonical(got)
 
 
+def _wide_case(rows, cols, seed):
+    """A rows x cols Gaussian integer matrix; rows 2 and 5 are (1 + i) and
+    -1 times rows 0 and 3, and column 2 is zero."""
+    rng = SplitMix64(seed)
+    data = [[complex(rng.int_between(-4, 4), rng.int_between(-4, 4)) for _ in range(cols)]
+            for _ in range(rows)]
+    data[2] = [(1 + 1j) * x for x in data[0]]
+    data[5] = [-x for x in data[3]]
+    return [[0 if j == 2 else x for j, x in enumerate(row)] for row in data]
+
+
+# Gaussian integer cases for the exact division by the previous pivot (the
+# leading minor of the pivot columns so far): pivots of -1, i, -i and -2 with
+# a step after them, a last pivot of -1, i or -i, a zero column between
+# pivots, rows that are multiples of earlier rows, and shapes up to 7 x 8.
+RREF_CASES = [
+    [[1, 1, 2], [1, 0, 3], [2, 1, 4]],
+    [[1, 1, 2], [1, 1 + 1j, 0], [3, 1, 1j]],
+    [[1, 1, 0], [1, 1 - 1j, 2], [1j, 2, 1]],
+    [[-2, 1, 0, 3], [4, 3, 1, 0], [0, 1, 5, -1]],
+    [[1, 1], [1, 0]],
+    [[1, 0], [0, 1j]],
+    [[1, 1], [1, 1 - 1j]],
+    [[0, 1j, 2], [-1j, 0, 1], [1, 1, 0]],
+    [[1, 0, 2, 3], [2, 0, 5, 1], [0, 0, 1, 1]],
+    [[1, 0, 0, 2], [1, 0, 0, 1], [2, 0, 1, 0]],
+    [[1, 2, 3], [2, 4, 6], [1j, 2j, 3j], [0, 1, 1], [-1, -1, -2]],
+    [[1, 2, 3], [-2, -4, -6], [0, 1, 1], [3, 7, 10]],
+    [[2, 1, 1], [1, 1, 0], [1, 0, 1], [3, 1, 2]],
+    _wide_case(7, 8, 1),
+    _wide_case(7, 8, 2),
+    [row[:6] for row in _wide_case(7, 8, 3)],
+    [[x.real for x in row] for row in _wide_case(7, 8, 4)],
+    [[x.imag for x in row] for row in _wide_case(6, 7, 5)],
+]
+
+
+def fixed_rref_cases(field):
+    """The RREF_CASES over Q(i), and those with only real entries over Q."""
+    out = []
+    for rows in RREF_CASES:
+        values = [complex(x) for row in rows for x in row]
+        if field is QI:
+            entries = [GaussianRational(F(int(x.real)), F(int(x.imag))) for x in values]
+        elif field is QQ and not any(x.imag for x in values):
+            entries = [F(int(x.real)) for x in values]
+        else:
+            continue
+        out.append(ExactMatrix(field, len(rows), len(rows[0]), entries))
+    return out
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.label)
 def test_rref_kernel_matches_scalar_elimination(field):
     rng = SplitMix64(505)
-    for _ in range(300):
-        a = kernel_matrix(field, rng, 1 + rng.below(5), 1 + rng.below(5))
+    cases = [kernel_matrix(field, rng, 1 + rng.below(5), 1 + rng.below(5)) for _ in range(300)]
+    for a in cases + fixed_rref_cases(field):
         reduced, r, pivots = rref(a)
         assert (reduced, r, pivots) == _oracle_rref(a)
         assert_canonical(reduced)
@@ -497,6 +549,14 @@ def test_mp_inverse_rectangular_certified():
         b = mp_inverse(a)
         assert b is not None
         assert verify_mp(a, b).all
+
+
+def test_mp_inverse_of_seeded_qi_20x20():
+    # past any size the random and fixed elimination cases reach
+    a = random_matrix(QI, 20, 20, SplitMix64(1))
+    b = mp_inverse(a)
+    assert b is not None and b == inverse(a)
+    assert verify_mp(a, b).all
 
 
 def test_mp_dagger_interplay_identities():
