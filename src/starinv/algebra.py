@@ -27,15 +27,6 @@ class AlgebraConstructionError(ValueError):
     """The supplied tables violate the ring or involution axioms."""
 
 
-class AlgebraParseError(ValueError):
-    """Malformed algebra description text."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        prefix = f"line {line}: " if line is not None else ""
-        super().__init__(prefix + message)
-
-
 class AlgebraElement:
     """A coefficient bit-vector in a fixed structure-constant algebra."""
 
@@ -360,100 +351,3 @@ class ExhaustiveEngine:
     def serialize(self, x: AlgebraElement) -> str:
         return self.algebra.format_element(x)
 
-
-def _parse_bitvector(token: str, dim: int, line_no: int) -> int:
-    if len(token) != dim or any(c not in "01" for c in token):
-        raise AlgebraParseError(f"expected a {dim}-digit bitvector, got {token!r}", line_no)
-    return sum(1 << i for i, c in enumerate(token) if c == "1")
-
-
-def parse_algebra(text: str, name: str = "algebra") -> StructureConstantAlgebra:
-    """Parse an algebra description.
-
-    Layout: a header ``algebra <dim> over GF(2)``, then ``mul i j =
-    <bitvector>`` for every basis pair, ``star i = <bitvector>`` for
-    every basis index, and one ``one = <bitvector>`` line.  Bitvectors
-    list coefficients with basis index 0 first.  The constructed
-    algebra still runs all self-checks.
-    """
-    numbered = [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())]
-    lines = [(no, line) for no, line in numbered if line and not line.startswith("#")]
-    if not lines:
-        raise AlgebraParseError("empty description")
-    no, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 4 or tokens[0] != "algebra" or tokens[2] != "over" or tokens[3] != "GF(2)":
-        raise AlgebraParseError("expected header 'algebra <dim> over GF(2)'", no)
-    try:
-        dim = int(tokens[1])
-    except ValueError:
-        raise AlgebraParseError(f"bad dimension {tokens[1]!r}", no) from None
-    if dim < 1:
-        raise AlgebraParseError("dimension must be positive", no)
-
-    # filled only from lines read, so a large header allocates nothing
-    mul: dict[tuple[int, int], int] = {}
-    star: dict[int, int] = {}
-    one_bits: int | None = None
-
-    def parse_index(token: str, line_no: int) -> int:
-        try:
-            value = int(token)
-        except ValueError:
-            raise AlgebraParseError(f"bad basis index {token!r}", line_no) from None
-        if not 0 <= value < dim:
-            raise AlgebraParseError(f"basis index {value} out of range", line_no)
-        return value
-
-    for no, line in lines[1:]:
-        tokens = line.split()
-        if len(tokens) == 5 and tokens[0] == "mul" and tokens[3] == "=":
-            i = parse_index(tokens[1], no)
-            j = parse_index(tokens[2], no)
-            if (i, j) in mul:
-                raise AlgebraParseError(f"duplicate mul {i} {j}", no)
-            mul[i, j] = _parse_bitvector(tokens[4], dim, no)
-        elif len(tokens) == 4 and tokens[0] == "star" and tokens[2] == "=":
-            i = parse_index(tokens[1], no)
-            if i in star:
-                raise AlgebraParseError(f"duplicate star {i}", no)
-            star[i] = _parse_bitvector(tokens[3], dim, no)
-        elif len(tokens) == 3 and tokens[0] == "one" and tokens[1] == "=":
-            if one_bits is not None:
-                raise AlgebraParseError("duplicate one", no)
-            one_bits = _parse_bitvector(tokens[2], dim, no)
-        else:
-            raise AlgebraParseError(f"unrecognized line {line!r}", no)
-
-    if len(mul) < dim * dim:
-        # at most len(mul) pairs precede the first missing one
-        first = next((i, j) for i in range(dim) for j in range(dim) if (i, j) not in mul)
-        raise AlgebraParseError(f"missing mul entries, first is {first}")
-    if len(star) < dim:
-        raise AlgebraParseError("missing star entries")
-    if one_bits is None:
-        raise AlgebraParseError("missing one line")
-    labels = tuple(f"e{i}" for i in range(dim))
-    return StructureConstantAlgebra(
-        labels,
-        [[mul[i, j] for j in range(dim)] for i in range(dim)],
-        [star[i] for i in range(dim)],
-        one_bits,
-        name=name,
-    )
-
-
-def format_algebra(algebra: StructureConstantAlgebra) -> str:
-    """Render an algebra in the description format parse_algebra reads."""
-    dim = algebra.dim
-
-    def bitvector(bits: int) -> str:
-        return "".join("1" if (bits >> i) & 1 else "0" for i in range(dim))
-
-    lines = [f"algebra {dim} over GF(2)", f"one = {bitvector(algebra.one_element().bits)}"]
-    for i in range(dim):
-        for j in range(dim):
-            lines.append(f"mul {i} {j} = {bitvector(algebra.mul_bits(1 << i, 1 << j))}")
-    for i in range(dim):
-        lines.append(f"star {i} = {bitvector(algebra.star_bits(1 << i))}")
-    return "\n".join(lines) + "\n"

@@ -15,19 +15,21 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterable
 
 from ._version import __version__
 from .algebra import ExhaustiveEngine, enumerate_projections, example26_algebra
 from .generators import (
     TrialSpec,
+    all_matrices,
     all_projections_matrix,
     orthogonal_generators,
     pair_orbits,
     sweepable,
     trial_pair,
 )
-from .matrices import MatrixInverseEngine, MatrixRing
-from .ring import CachingEngine, ProjectionPairContext
+from .matrices import MatrixInverseEngine, MatrixRing, format_matrix_inline
+from .ring import CachingEngine, InverseEngine, ProjectionPairContext
 from .scalars import field_named
 from .theorems import THEOREM_IDS, run_battery
 
@@ -219,16 +221,6 @@ class CampaignReport:
         return out.getvalue()
 
 
-def parse_ring_id(ring_id: str) -> str:
-    """Validate a ring id, returning it unchanged.
-
-    Accepted: q, qi, gf:<prime> (``scalars.field_named``), example26.
-    """
-    if ring_id != "example26":
-        field_named(ring_id)
-    return ring_id
-
-
 def check_theorem_ids(theorems) -> None:
     """Raise ValueError unless every id is a known battery, listed once."""
     for theorem in theorems:
@@ -247,40 +239,56 @@ def check_size(n: int) -> None:
         raise ValueError(f"matrix size {n} is too large: the cap is {MATRIX_SIZE_CAP}")
 
 
-def _sweep(config: CampaignConfig, n: int, projections, representatives=None):
-    """Every ordered pair of projections, with its trial spec and the
-    trial index of its orbit representative (its own index when no
-    orbits are given)."""
-    for index, (p, q) in enumerate(itertools.product(projections, repeat=2)):
-        representative = index if representatives is None else representatives[index]
-        yield TrialSpec(config.ring, n, None, None, config.seed, index), p, q, representative
+# The ring-id forms ring_instance reads, each with whether its ring is finite.
+RING_FORMS = {"q": False, "qi": False, "gf:<p>": True, "example26": True}
 
 
-def _pair_stream(config: CampaignConfig):
-    """The engine, the (spec, p, q, representative) trials, and whether
-    the pairs are a sweep.
+@dataclass(frozen=True)
+class RingInstance:
+    """What the commands need of one ring.  Lists are built only when
+    called, through the module's names as bound at that time."""
 
-    A sweep draws every pair from one fixed projection list, so derived
-    elements recur across pairs; seeded random pairs share little.  A
-    GF(p) matrix sweep also groups its pairs into orbits under
-    simultaneous conjugation by orthogonal matrices, a *-automorphism:
-    MP and Drazin inverses are unique, so every battery gives the same
-    verdict on each pair of an orbit.  Example26 and random trials are
-    their own representatives.
-    """
-    if config.ring == "example26":
+    engine: InverseEngine
+    n: int  # a trial spec's n: the matrix size, or the algebra's dimension
+    projections: Callable[[], list]  # every projection, in sweep order
+    generators: Callable[[], list]  # orbit generators of a sweep
+    sample: Callable[[int, int], tuple] | None  # (seed, trial) -> (spec, p, q); None: swept
+    elements: Callable[[], Iterable] | None  # every element; None for an infinite ring
+    format: Callable[[object], str]  # one line per element
+
+
+def ring_instance(ring_id: str, n: int = 2) -> RingInstance:
+    """The ring an id of ``RING_FORMS`` names (ValueError for any other id);
+    n sizes a matrix ring, swept when ``generators.sweepable`` allows it."""
+    if ring_id == "example26":
         algebra = example26_algebra()
-        pairs = _sweep(config, algebra.dim, enumerate_projections(algebra))
-        return ExhaustiveEngine(algebra), pairs, True
+        return RingInstance(
+            ExhaustiveEngine(algebra), algebra.dim, lambda: enumerate_projections(algebra),
+            generators=lambda: [], sample=None, elements=algebra.elements,
+            format=algebra.format_element,
+        )
+    field = field_named(ring_id)
+    ring = MatrixRing(field, n)
+    return RingInstance(
+        MatrixInverseEngine(ring), n, lambda: all_projections_matrix(n, field),
+        generators=lambda: orthogonal_generators(n, field),
+        sample=None if sweepable(field, n) else lambda seed, t: trial_pair(ring, seed, t),
+        elements=None if field.size is None else lambda: all_matrices(n, field),
+        format=format_matrix_inline,
+    )
 
-    ring = MatrixRing(field_named(config.ring), config.n)
-    engine = MatrixInverseEngine(ring)
-    if sweepable(ring.field, config.n):
-        projections = all_projections_matrix(config.n, ring.field)
-        orbits = pair_orbits(projections, orthogonal_generators(config.n, ring.field))
-        return engine, _sweep(config, config.n, projections, orbits), True
-    trials = ((*trial_pair(ring, config.seed, t), t) for t in range(config.trials))
-    return engine, trials, False
+
+def _pairs(config: CampaignConfig, instance: RingInstance):
+    """The (spec, p, q, representative) trials: seeded random pairs, or
+    every ordered pair of projections, with its orbit's first pair."""
+    if instance.sample is not None:
+        return ((*instance.sample(config.seed, t), t) for t in range(config.trials))
+    projections, generators = instance.projections(), instance.generators()
+    orbits = pair_orbits(projections, generators) if generators else range(len(projections) ** 2)
+    return (
+        (TrialSpec(config.ring, instance.n, None, None, config.seed, k), p, q, orbits[k])
+        for k, (p, q) in enumerate(itertools.product(projections, repeat=2))
+    )
 
 
 def _outcome(verdict) -> tuple[str, tuple[str, ...]]:
@@ -297,22 +305,24 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 
     Exhaustive instances (example26, small prime-field rings) ignore the
     trial count and sweep every projection pair; the batteries run once
-    per orbit, on its first pair, and every pair still gets its own
-    records, failures carrying that pair's spec and serialization.
+    per orbit of orthogonal conjugation (a *-automorphism, so verdicts
+    agree on an orbit), on its first pair, and every pair still gets its
+    own records, failures carrying that pair's spec and serialization.
     Engine answers are memoized for the whole of a sweep and for one
     pair at a time otherwise, where a campaign-wide memo would only grow.
     """
     check_size(config.n)
     check_theorem_ids(config.theorems)
     started = time.monotonic()
-    inner, pairs, sweep = _pair_stream(config)
-    engine = CachingEngine(inner)
+    instance = ring_instance(config.ring, config.n)
+    engine = CachingEngine(instance.engine)
+    sweep = instance.sample is None
     records: list[TrialRecord] = []
     tallies = {theorem: [0, 0, 0] for theorem in config.theorems}  # passed, failed, na
     theorems = [theorem for theorem in THEOREM_IDS if theorem in tallies]  # record order
     column = {STATUS_PASSED: 0, STATUS_FAILED: 1, STATUS_NOT_APPLICABLE: 2}
     orbit_outcomes: dict[int, list] = {}
-    for spec, p, q, representative in pairs:
+    for spec, p, q, representative in _pairs(config, instance):
         if representative == spec.trial:
             if not sweep:
                 engine.clear()

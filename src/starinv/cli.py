@@ -13,33 +13,32 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import sys
 
 from ._version import __version__
-from .algebra import brute_force_mp, enumerate_projections, example26_algebra
+from .algebra import brute_force_mp, example26_algebra
 from .campaign import (
+    RING_FORMS,
     THEOREM_IDS,
     CampaignConfig,
     check_size,
     check_theorem_ids,
-    parse_ring_id,
+    ring_instance,
     run_campaign,
 )
-from .generators import EXHAUSTIVE_CELL_CAP, TooLargeError, all_projections_matrix, sweepable
 from .matrices import (
-    ExactMatrix,
     MatrixParseError,
     drazin_inverse,
     format_matrix,
-    format_matrix_inline,
     group_inverse,
     mp_inverse,
     parse_matrix,
 )
 from .ring import is_projection, verify_mp
-from .scalars import field_named
+from .scalars import TooLargeError
+
+FINITE_RING_FORMS = [form for form, finite in RING_FORMS.items() if finite]
 
 
 def counterexample_evidence() -> dict:
@@ -135,15 +134,15 @@ def _open_output(path: str | None):
         raise SystemExit(2) from exc
 
 
-def _parse_ring(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
+def _parse_ring(args: argparse.Namespace, parser: argparse.ArgumentParser):
     try:
-        return parse_ring_id(args.ring)
+        return ring_instance(args.ring, args.n)
     except (ValueError, TypeError) as exc:
         parser.error(f"invalid ring id {args.ring!r}: {exc}")
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    ring = _parse_ring(args, parser)
+    _parse_ring(args, parser)
     if args.theorems == "all":
         theorems = THEOREM_IDS
     else:
@@ -161,7 +160,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if args.trials < 1:
         parser.error("--trials must be positive")
     config = CampaignConfig(
-        ring=ring, n=args.n, trials=args.trials, seed=args.seed, theorems=theorems
+        ring=args.ring, n=args.n, trials=args.trials, seed=args.seed, theorems=theorems
     )
     with _open_output(args.out) as out:
         report = run_campaign(config)
@@ -215,42 +214,21 @@ def _cmd_counterexample(args: argparse.Namespace, parser: argparse.ArgumentParse
 
 
 def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    ring = _parse_ring(args, parser)
-    if ring == "example26":
-        algebra = example26_algebra()
-        if args.what == "projections":
-            listing = enumerate_projections(algebra)
-        else:
-            listing = [e for e in algebra.elements() if brute_force_mp(algebra, e) is not None]
-        for element in listing:
-            sys.stdout.write(algebra.format_element(element) + "\n")
-        return 0
-
-    field = field_named(ring)
-    if field.size is None:
-        parser.error("enumerate requires a finite ring (example26 or gf:<p>)")
+    instance = _parse_ring(args, parser)
+    if instance.elements is None:
+        parser.error(f"enumerate requires a finite ring ({' or '.join(FINITE_RING_FORMS)})")
     if args.n < 1:
         parser.error("--n must be positive")
-    if args.what == "projections":
-        try:
-            listing = all_projections_matrix(args.n, field)
-        except TooLargeError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return 2
-    else:
-        if not sweepable(field, args.n):
-            sys.stderr.write(
-                f"error: {field.size}^{args.n * args.n} matrices exceed the"
-                f" {EXHAUSTIVE_CELL_CAP} enumeration cap\n"
-            )
-            return 2
-        listing = [
-            matrix
-            for combo in itertools.product(field.elements(), repeat=args.n * args.n)
-            if mp_inverse(matrix := ExactMatrix(field, args.n, args.n, list(combo))) is not None
-        ]
-    for matrix in listing:
-        sys.stdout.write(format_matrix_inline(matrix) + "\n")
+    try:
+        if args.what == "projections":
+            listing = instance.projections()
+        else:
+            listing = [x for x in instance.elements() if instance.engine.mp(x) is not None]
+    except TooLargeError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    for x in listing:
+        sys.stdout.write(instance.format(x) + "\n")
     return 0
 
 
@@ -263,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run verification campaigns")
-    verify.add_argument("--ring", default="q", help="q | qi | gf:<p> | example26")
+    verify.add_argument("--ring", default="q", help=" | ".join(RING_FORMS))
     verify.add_argument("--n", type=int, default=2, help="matrix size (matrix rings)")
     verify.add_argument("--trials", type=int, default=100, help="random trials (matrix rings)")
     verify.add_argument("--seed", type=int, default=0, help="campaign seed")
@@ -287,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     counterexample.set_defaults(run=_cmd_counterexample)
 
     enumerate_cmd = sub.add_parser("enumerate", help="list elements of a finite instance")
-    enumerate_cmd.add_argument("--ring", required=True, help="example26 | gf:<p>")
+    enumerate_cmd.add_argument("--ring", required=True, help=" | ".join(FINITE_RING_FORMS))
     enumerate_cmd.add_argument("--n", type=int, default=2, help="matrix size for gf rings")
     enumerate_cmd.add_argument("--what", choices=("projections", "mp-invertible"), required=True)
     enumerate_cmd.set_defaults(run=_cmd_enumerate)

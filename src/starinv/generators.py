@@ -188,6 +188,15 @@ def sweepable(field: Field, n: int) -> bool:
     return size ** min(n * n, EXHAUSTIVE_CELL_CAP.bit_length()) <= EXHAUSTIVE_CELL_CAP
 
 
+def all_matrices(n: int, field: Field):
+    """Every n x n matrix over a finite field, in row-major order of the
+    entries.  Past ``sweepable`` it raises TooLargeError before any is built."""
+    if not sweepable(field, n):
+        count = f"{field.size}^{n * n} matrices"
+        raise TooLargeError(f"{count} exceed the {EXHAUSTIVE_CELL_CAP} enumeration cap")
+    return (ExactMatrix(field, n, n, e) for e in itertools.product(field.elements(), repeat=n * n))
+
+
 def subspace_count(n: int, size: int, cap: int) -> int:
     """How many subspaces F^n has for |F| = size, or a count past cap.
 

@@ -1,11 +1,12 @@
 """Exact scalar fields: rationals, Gaussian rationals, and prime fields.
 
 This is the one module that knows which fields exist and how they are
-named: ``field_named`` reads a ring id (``q``, ``qi``, ``gf:<p>``) or a
+named: ``field_named`` reads a field's ring id (``q``, ``qi``,
+``gf:<p>``; ``campaign.ring_instance`` reads every ring id) or a
 matrix-file header (``Q``, ``QI``, ``GF <p>``).  A field is data, its
-names, size, unit elements and the parsing, formatting and coercion of
-its scalars; the arithmetic runs in ``starinv.kernels`` on whole
-matrices.
+names, size, unit elements, isotropic vectors and the parsing,
+formatting and coercion of its scalars; the arithmetic runs in
+``starinv.kernels`` on whole matrices.
 
 Every value is kept in a canonical form so equality is structural:
 ``Fraction`` is always reduced with a positive denominator,
@@ -122,6 +123,10 @@ class Field(ABC):
         """Number of elements, or None for an infinite field."""
         return None
 
+    def isotropic_vector(self, n: int) -> tuple | None:
+        """A nonzero v in F^n with sum(v_i v_i*) = 0, or None (always, over Q and Q(i))."""
+        return None
+
 
 @dataclass(frozen=True)
 class RationalField(Field):
@@ -216,6 +221,41 @@ class PrimeField(Field):
 
     def elements(self) -> range:
         return range(self.p)
+
+    def isotropic_vector(self, n: int) -> tuple[int, ...] | None:
+        """A nonzero v over GF(p) with sum(v_i^2) = 0, or None if none exists.
+
+        Existence is what makes the n x n transpose ring fail to be
+        *-reducing: place v in one column of an otherwise zero matrix and
+        A* A vanishes while A does not.  Roots are closed-form powers
+        (Cohen, A Course in Computational Algebraic Number Theory, 1993,
+        sec. 1.5), the larger root max(r, p - r) kept: sqrt(-1) = z^((p-1)/4)
+        for the least non-residue z when p = 1 (mod 4); when p = 3 (mod 4),
+        -1 is no square and a square a has the roots +-a^((p+1)/4).
+        """
+        p = self.p
+        if n < 1:
+            raise ValueError("dimension must be positive")
+        if n == 1:
+            return None
+        if p == 2:
+            return (1, 1) + (0,) * (n - 2)
+        if p % 4 == 1:
+            z = 2
+            while pow(z, (p - 1) // 2, p) != p - 1:
+                z += 1
+            root = pow(z, (p - 1) // 4, p)
+            root = max(root, p - root)
+            return (1, root) if n == 2 else (root, 0, 1) + (0,) * (n - 3)
+        if n == 2:
+            return None
+        # x^2 + y^2 = -1 always has a solution mod an odd prime.
+        for y in range(p):
+            a = (-1 - y * y) % p
+            x = pow(a, (p + 1) // 4, p)
+            if x * x % p == a:
+                return (max(x, p - x), y, 1) + (0,) * (n - 3)
+        raise AssertionError("unreachable: x^2 + y^2 = -1 is always solvable mod p")
 
     @property
     def size(self) -> int:

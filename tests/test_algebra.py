@@ -1,11 +1,8 @@
 """Checks of the table algebra: construction, products, brute force."""
-import tracemalloc
-
 import pytest
 
 from starinv.algebra import (
     AlgebraConstructionError,
-    AlgebraParseError,
     ExhaustiveEngine,
     StructureConstantAlgebra,
     TooLargeError,
@@ -13,8 +10,6 @@ from starinv.algebra import (
     brute_force_mp,
     enumerate_projections,
     example26_algebra,
-    format_algebra,
-    parse_algebra,
 )
 from starinv.ring import CachingEngine, is_projection, verify_drazin, verify_mp
 
@@ -208,56 +203,3 @@ def test_generic_algebra_brute_force():
     for a in small.elements():
         witness = brute_force_mp(small, a)
         assert witness == a  # boolean ring: a is its own MP inverse
-
-
-def test_algebra_description_round_trip(alg):
-    text = format_algebra(alg)
-    parsed = parse_algebra(text, name="rebuilt")
-    assert parsed.dim == alg.dim
-    for u in range(alg.size):
-        for v in range(alg.size):
-            assert parsed.mul_bits(u, v) == alg.mul_bits(u, v)
-    for u in range(alg.size):
-        assert parsed.star_bits(u) == alg.star_bits(u)
-    assert parsed.one_element().bits == alg.one_element().bits
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "algebra x over GF(2)\n",
-        "algebra 1 over GF(3)\none = 1\nmul 0 0 = 1\nstar 0 = 1\n",
-        "algebra 1 over GF(2)\nmul 0 0 = 1\nstar 0 = 1\n",  # missing one
-        "algebra 1 over GF(2)\none = 1\nstar 0 = 1\n",  # missing mul
-        "algebra 1 over GF(2)\none = 1\nmul 0 0 = 1\n",  # missing star
-        "algebra 1 over GF(2)\none = 1\nmul 0 0 = 11\nstar 0 = 1\n",  # bad bitvector
-        "algebra 1 over GF(2)\none = 1\nmul 0 1 = 1\nstar 0 = 1\n",  # index range
-        "algebra 1 over GF(2)\none = 1\nmul 0 0 = 1\nmul 0 0 = 1\nstar 0 = 1\n",
-    ],
-)
-def test_parse_algebra_rejects_malformed(text):
-    with pytest.raises(AlgebraParseError):
-        parse_algebra(text)
-
-
-def test_parse_algebra_line_diagnostics():
-    with pytest.raises(AlgebraParseError) as info:
-        parse_algebra("algebra 1 over GF(2)\none = 1\nmul 0 0 = 2\nstar 0 = 1\n")
-    assert info.value.line == 3
-
-
-def test_parse_algebra_sizes_nothing_by_the_header():
-    # the header's dimension has no bound, so only lines read may allocate
-    tracemalloc.start()
-    try:
-        with pytest.raises(AlgebraParseError) as info:
-            parse_algebra("algebra 2000 over GF(2)\n")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert str(info.value) == "missing mul entries, first is (0, 0)"
-    assert peak < 1 << 20
-    with pytest.raises(AlgebraParseError) as info:
-        parse_algebra("algebra 2 over GF(2)\nmul 1 1 = 01\nmul 0 0 = 10\n")
-    assert str(info.value) == "missing mul entries, first is (0, 1)"

@@ -10,9 +10,10 @@ from starinv import campaign
 from starinv.campaign import (
     THEOREM_IDS,
     CampaignConfig,
+    RING_FORMS,
     CampaignReport,
     TrialRecord,
-    parse_ring_id,
+    ring_instance,
     run_campaign,
 )
 from starinv.generators import TrialSpec
@@ -49,28 +50,37 @@ def test_readme_library_block_runs():
 
 
 def test_parse_ring_id():
+    # ring_instance reads every ring id; field_named reads field names under it
     for ring in ("q", "qi", "gf:2", "gf:13", "example26"):
-        assert parse_ring_id(ring) == ring
+        ring_instance(ring)
     with pytest.raises(ValueError):
-        parse_ring_id("gf:4")
+        ring_instance("gf:4")
     for huge in ("gf:1000000007", "gf:1000000000000000003"):
         with pytest.raises(TooLargeError):
-            parse_ring_id(huge)
+            ring_instance(huge)
     with pytest.raises(ValueError):
-        parse_ring_id("zz")
+        ring_instance("zz")
     for spelling in ("gf:+3", "gf: 3", "gf:0_3", "gf:03", "gf:\uff13"):  # int() reads 3
         with pytest.raises(ValueError):
-            parse_ring_id(spelling)
+            ring_instance(spelling)
     # one namer for both spellings, each field named once in each
     for field in (QQ, QI, PrimeField(2), PrimeField(7), PrimeField(1048573)):
         assert field_named(field.ring_id) == field
         assert field_named(field.label, header=True) == field
     for ring_id in ("Q", "QI", "GF 3"):
         with pytest.raises(ValueError):
-            parse_ring_id(ring_id)
+            ring_instance(ring_id)
     for header in ("q", "qi", "gf:3", "GF 03", "GF +3", "GF 0_3", "GF \uff13"):
         with pytest.raises(ValueError):
             field_named(header, header=True)
+    # the forms the --ring help strings list name the rings the table builds
+    for form, finite in RING_FORMS.items():
+        assert (ring_instance(form.replace("<p>", "13")).elements is not None) == finite
+    # example26 and generators.sweepable decide between sweep and sample
+    assert ring_instance("example26").sample is None
+    assert ring_instance("gf:2", 4).sample is None and ring_instance("gf:2", 5).sample
+    assert ring_instance("gf:31", 2).sample is None and ring_instance("gf:37", 2).sample
+    assert ring_instance("q", 1).sample and ring_instance("qi", 1).sample
 
 
 def test_random_campaign_aggregates():

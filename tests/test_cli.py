@@ -1,12 +1,15 @@
 """End-to-end CLI behavior: flags, files, exit codes, determinism."""
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import starinv
-from starinv import cli, generators
+from starinv import cli, generators, matrices
 from starinv.cli import counterexample_evidence, main
 from starinv.matrices import ExactMatrix, parse_matrix
 from starinv.scalars import QQ
@@ -166,6 +169,15 @@ def test_inverse_huge_gf_modulus_fails_fast(tmp_path):
     assert "line 1" in done.stderr and "cap" in done.stderr
 
 
+def test_inverse_refuses_a_matrix_past_the_file_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "mp_inverse", _unreachable)
+    path = tmp_path / "tall.txt"
+    path.write_text("ring QI\nrows 65\ncols 2\n" + "1,1 0\n" * 65, encoding="utf-8")
+    code, out, err = run_cli(capsys, "inverse", "--kind", "mp", "--in", str(path))
+    assert code == 2 and out == ""
+    assert "rows 65 exceeds the 64 cap" in err
+
+
 def test_inverse_missing_file(capsys):
     assert run_cli(capsys, "inverse", "--kind", "mp", "--in", "/nonexistent")[0] == 2
 
@@ -315,13 +327,34 @@ def test_enumerate_mp_invertible_keeps_the_matrix_cap(capsys, monkeypatch):
     def must_not_run(*args):
         raise AssertionError("scanned matrices past the cap")
 
-    monkeypatch.setattr(cli, "mp_inverse", must_not_run)
+    monkeypatch.setattr(matrices, "mp_inverse", must_not_run)  # what MatrixInverseEngine.mp calls
     for n in ("3", "1000"):
         code, _, err = run_cli(
             capsys, "enumerate", "--ring", "gf:7", "--n", n, "--what", "mp-invertible"
         )
         assert code == 2
         assert "cap" in err
+
+
+# SHA-256 of enumerate's stdout, recorded before the listing went through
+# the ring table (campaign.ring_instance).
+ENUMERATE_DIGESTS = {
+    ("example26", "projections"): "94f625d64d8df7dc79c1e7551ce6e083ba3965a52fe8a20cd031795eea340779",
+    ("example26", "mp-invertible"): "9e63af4a50ea8d4dbf0e405cba2756cb7f8829cb9d165ba091ec625a162782ed",
+    ("gf:2 --n 2", "projections"): "4d15dd26d4e66f7272f00f66ce407d8fcd8f5c950542404032de5122c2e275ab",
+    ("gf:2 --n 2", "mp-invertible"): "37703f2fcaad371087557532003417301bb31b6296ced954d405035595c18683",
+    ("gf:2 --n 3", "projections"): "62887c9411d136b6cc97311bb043cb6664605625681756431c34e199f110b631",
+    ("gf:2 --n 3", "mp-invertible"): "af7723ee98df583305ef0a35de775f163e0d585e6394799a3adbe5e8c5d7506d",
+    ("gf:3 --n 2", "projections"): "9714e069a2607ecb656ab1ad4e28d95b0eb588063f095a9ab565829d60ef32b8",
+    ("gf:3 --n 2", "mp-invertible"): "5cda26dc3f2efeda6fe90828f7f71e4c5f2b87fcdf25d70fba2f6a3947837dc5",
+}
+
+
+@pytest.mark.parametrize("ring, what", list(ENUMERATE_DIGESTS))
+def test_enumerate_output_is_pinned(capsys, ring, what):
+    code, out, _ = run_cli(capsys, "enumerate", "--ring", *ring.split(), "--what", what)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ENUMERATE_DIGESTS[ring, what]
 
 
 def test_enumerate_rejects_nonpositive_size(capsys):
@@ -336,6 +369,15 @@ def test_enumerate_rejects_infinite_ring(capsys):
     for ring in ("q", "qi"):
         code, _, err = run_cli(capsys, "enumerate", "--ring", ring, "--what", "projections")
         assert code == 2 and "finite ring" in err
+
+
+def test_import_builds_no_ring():
+    # the ring table builds a ring only when a command asks for it, so
+    # importing the package stays as cheap as its modules
+    src = str(Path(starinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import starinv.cli as c; assert c.example26_algebra.cache_info().currsize == 0"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=30)
 
 
 def test_version_flag(capsys):

@@ -4,7 +4,7 @@ Cached answers are checked against fresh calls of the wrapped engine;
 miss counts are checked against distinct elements asked, for the whole
 of a sweep and for each pair of a seeded random campaign.
 """
-from starinv import campaign, matrices
+from starinv import campaign
 from starinv.campaign import CampaignConfig, run_campaign
 from starinv.matrices import MatrixInverseEngine, MatrixRing
 from starinv.ring import CachingEngine, InverseEngine, ProjectionPairContext
@@ -105,13 +105,13 @@ def test_missing_inverse_is_served_from_the_memo():
 
 def test_star_reducing_is_decided_once_per_campaign(monkeypatch):
     calls = []
-    original = matrices.isotropic_vector
+    original = PrimeField.isotropic_vector
 
-    def counted(p, n):
-        calls.append((p, n))
-        return original(p, n)
+    def counted(field, n):
+        calls.append((field.p, n))
+        return original(field, n)
 
-    monkeypatch.setattr(matrices, "isotropic_vector", counted)
+    monkeypatch.setattr(PrimeField, "isotropic_vector", counted)
     config = CampaignConfig(ring="gf:1048573", n=2, trials=3, theorems=("lemma21",))
     report = run_campaign(config)
     assert report.counts["lemma21"].checked == 3

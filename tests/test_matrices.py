@@ -29,7 +29,6 @@ from starinv.matrices import (
     full_rank_factorization,
     group_inverse,
     inverse,
-    isotropic_vector,
     mp_inverse,
     parse_matrix,
     rank,
@@ -676,6 +675,10 @@ def test_all_ones_gf2_kills_gram():
     assert (a.star() * a).is_zero()
 
 
+def isotropic_vector(p, n):
+    return PrimeField(p).isotropic_vector(n)
+
+
 def test_isotropic_vectors():
     assert isotropic_vector(2, 1) is None
     assert isotropic_vector(2, 2) == (1, 1)
@@ -791,6 +794,32 @@ def test_non_star_reducing_witness_matrix():
     assert MatrixRing(QQ, 2).non_star_reducing_witness() is None
 
 
+def scan_for_isotropic_matrix(p, n):
+    """Oracle: a nonzero n x n residue matrix A with A^T A = 0 mod p, or None,
+    by scanning every matrix; (A^T A)_ij is column i dotted with column j."""
+    for entries in itertools.product(range(p), repeat=n * n):
+        columns = [entries[j::n] for j in range(n)]
+        if any(entries) and all(
+            sum(x * y for x, y in zip(columns[i], columns[j])) % p == 0
+            for i in range(n)
+            for j in range(i, n)
+        ):
+            return entries
+    return None
+
+
+def test_star_reducing_flag_matches_a_scan():
+    # every gf:p ring with p^(n^2) <= 2^15 at n >= 2, and n = 1 for p <= 13
+    cases = [(2, 2), (2, 3), (3, 2), (3, 3)] + [(p, 2) for p in (5, 7, 11, 13)]
+    cases += [(p, 1) for p in (2, 3, 5, 7, 11, 13)]
+    for p, n in cases:
+        ring = MatrixRing(PrimeField(p), n)
+        assert ring.is_star_reducing == (scan_for_isotropic_matrix(p, n) is None), (p, n)
+        witness = ring.non_star_reducing_witness()
+        if witness is not None:
+            assert not witness.is_zero() and (witness.star() * witness).is_zero(), (p, n)
+
+
 def test_matrix_ring_ids():
     assert MatrixRing(QQ, 2).ring_id == "q"
     assert MatrixRing(QI, 2).ring_id == "qi"
@@ -843,6 +872,18 @@ def test_parse_matrix_bad_header():
         with pytest.raises(MatrixParseError) as info:
             parse_matrix(f"ring Q\nrows {rows}\ncols 1\n1\n")
         assert info.value.line == 2
+
+
+def test_parse_matrix_caps_the_declared_size():
+    cap = matrices.MATRIX_FILE_CAP
+    assert cap == 64
+    square = "\n".join(" ".join(["1"] * cap) for _ in range(cap))
+    assert parse_matrix(f"ring Q\nrows {cap}\ncols {cap}\n{square}\n").rows == cap
+    # refused at the header, before any entry (here unparseable) is read
+    for rows, cols, line in (("65", "1", 2), ("1", "65", 3), ("9" * 5000, "1", 2)):
+        with pytest.raises(MatrixParseError, match="exceeds the 64 cap") as info:
+            parse_matrix(f"ring QI\nrows {rows}\ncols {cols}\nx\n")
+        assert info.value.line == line
 
 
 def test_parse_matrix_checks_modulus_cap_before_primality(monkeypatch):
