@@ -272,10 +272,14 @@ FAILURE_DIGESTS = [
      "5e6be9f229b81d27ba0222c54aa8d5efd6057969599fd61ed87f88b7a627eccc"),
     (CampaignConfig(ring="qi", n=3, trials=4, seed=12, theorems=PLANTED_ORDER),
      "12d0d271682d2ba01605376c761ca7ca08efb2511355a53ac2767394c9b2cd6d"),
+    (CampaignConfig(ring="example26", theorems=PLANTED_ORDER),
+     "76b3ccf13db87e87d8f655a15889d0e67e6a7a15311f1c8690d9aae0d7028e6a"),
 ]
 
 
-@pytest.mark.parametrize("config, digest", FAILURE_DIGESTS, ids=["gf:3", "q", "qi"])
+@pytest.mark.parametrize(
+    "config, digest", FAILURE_DIGESTS, ids=["gf:3", "q", "qi", "example26"]
+)
 def test_failure_record_bytes_unchanged(monkeypatch, config, digest):
     original = campaign.run_battery
 

@@ -3,8 +3,9 @@
 Each digest is the SHA-256 of the JSON report with ``duration_seconds``
 removed.  The configs cover the example26 algebra, sweeps over rings
 that are not *-reducing (gf:2 and gf:3, n = 3), sweeps over *-reducing
-ones (gf:3 and gf:7, n = 2) and seeded random campaigns over Q and over
-Q(i), each with all 14 batteries.  The odd-p sweeps exercise the
+ones (gf:3 and gf:7, n = 2) and seeded random campaigns over Q, over
+Q(i) and over prime fields too large to sweep (gf:2, n = 5 and gf:37,
+n = 2), each with all 14 batteries.  The odd-p sweeps exercise the
 reflections that group their pairs into orbits.
 A refactor that changes any record, count or config field fails here.
 """
@@ -30,6 +31,10 @@ DIGESTS = [
      "e49c2f158332a29935b0a85ae5180ec08beec6bae1cdeb4b6d83e9df9fabdecb"),
     (CampaignConfig(ring="gf:7", n=2),
      "db60fd27a1e526d1dedefe7883c5acfc4248337938fa0f4fb345bff74792241d"),
+    (CampaignConfig(ring="gf:2", n=5, trials=4, seed=7),
+     "578358097ac08f3ec4c5b6b49e5dddf824068ce96816af7a98a2bda9be7b7b02"),
+    (CampaignConfig(ring="gf:37", n=2, trials=4, seed=7),
+     "879101777a45fe0a8fb961770aebbb1cc4f3379680f59d3a9318328b1adc795e"),
 ]
 
 
