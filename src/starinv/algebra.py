@@ -222,10 +222,6 @@ class StructureConstantAlgebra:
                 return a
         return None
 
-    @property
-    def is_star_reducing(self) -> bool:
-        return self.non_star_reducing_witness() is None
-
 
 def _reduce_word(word: str) -> str | None:
     """Normal form of a word over the idempotent generators x and y.
@@ -340,14 +336,11 @@ class ExhaustiveEngine:
 
     @property
     def star_reducing(self) -> bool:
-        return self.algebra.is_star_reducing
+        return self.algebra.non_star_reducing_witness() is None
 
     def mp(self, x: AlgebraElement) -> AlgebraElement | None:
         return brute_force_mp(self.algebra, x)
 
     def drazin(self, x: AlgebraElement) -> tuple[AlgebraElement, int] | None:
         return brute_force_drazin(self.algebra, x)
-
-    def serialize(self, x: AlgebraElement) -> str:
-        return self.algebra.format_element(x)
 

@@ -28,7 +28,7 @@ from .generators import (
     sweepable,
     trial_pair,
 )
-from .matrices import MatrixInverseEngine, MatrixRing, format_matrix_inline
+from .matrices import MatrixInverseEngine, MatrixRing, format_matrix, format_matrix_inline
 from .ring import CachingEngine, InverseEngine, ProjectionPairContext
 from .scalars import field_named
 from .theorems import THEOREM_IDS, run_battery
@@ -255,6 +255,7 @@ class RingInstance:
     sample: Callable[[int, int], tuple] | None  # (seed, trial) -> (spec, p, q); None: swept
     elements: Callable[[], Iterable] | None  # every element; None for an infinite ring
     format: Callable[[object], str]  # one line per element
+    serialize: Callable[[object], str]  # an element as a failure record writes it
 
 
 def ring_instance(ring_id: str, n: int = 2) -> RingInstance:
@@ -265,7 +266,7 @@ def ring_instance(ring_id: str, n: int = 2) -> RingInstance:
         return RingInstance(
             ExhaustiveEngine(algebra), algebra.dim, lambda: enumerate_projections(algebra),
             generators=lambda: [], sample=None, elements=algebra.elements,
-            format=algebra.format_element,
+            format=algebra.format_element, serialize=algebra.format_element,
         )
     field = field_named(ring_id)
     ring = MatrixRing(field, n)
@@ -274,7 +275,7 @@ def ring_instance(ring_id: str, n: int = 2) -> RingInstance:
         generators=lambda: orthogonal_generators(n, field),
         sample=None if sweepable(field, n) else lambda seed, t: trial_pair(ring, seed, t),
         elements=None if field.size is None else lambda: all_matrices(n, field),
-        format=format_matrix_inline,
+        format=format_matrix_inline, serialize=format_matrix,
     )
 
 
@@ -316,7 +317,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     started = time.monotonic()
     instance = ring_instance(config.ring, config.n)
     engine = CachingEngine(instance.engine)
-    sweep = instance.sample is None
     records: list[TrialRecord] = []
     tallies = {theorem: [0, 0, 0] for theorem in config.theorems}  # passed, failed, na
     theorems = [theorem for theorem in THEOREM_IDS if theorem in tallies]  # record order
@@ -324,15 +324,12 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     orbit_outcomes: dict[int, list] = {}
     for spec, p, q, representative in _pairs(config, instance):
         if representative == spec.trial:
-            if not sweep:
+            if instance.sample is not None:
                 engine.clear()
             ctx = ProjectionPairContext(p, q)
-            outcomes = [
-                _outcome(run_battery(theorem, ctx, engine))
-                for theorem in theorems
+            outcomes = orbit_outcomes[spec.trial] = [
+                _outcome(run_battery(theorem, ctx, engine)) for theorem in theorems
             ]
-            if sweep:
-                orbit_outcomes[spec.trial] = outcomes
         else:
             outcomes = orbit_outcomes[representative]
         for theorem, (status, failing_checks) in zip(theorems, outcomes):
@@ -344,8 +341,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                     status,
                     failing_checks=failing_checks,
                     spec=spec,
-                    p=engine.serialize(p),
-                    q=engine.serialize(q),
+                    p=instance.serialize(p),
+                    q=instance.serialize(q),
                 )
             else:
                 record = TrialRecord(theorem, spec.trial, status)

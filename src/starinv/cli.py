@@ -28,6 +28,7 @@ from .campaign import (
     run_campaign,
 )
 from .matrices import (
+    MATRIX_FILE_BYTES,
     MatrixParseError,
     drazin_inverse,
     format_matrix,
@@ -171,8 +172,8 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 def _cmd_inverse(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
+            text = handle.read(MATRIX_FILE_BYTES + 1)  # parse_matrix refuses past the cap
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: cannot read {args.infile}: {exc}\n")
         return 2
     try:

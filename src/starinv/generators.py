@@ -11,18 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .matrices import ExactMatrix, MatrixRing, inverse
 from .ring import is_projection
-from .scalars import (
-    Field,
-    GaussianRational,
-    GaussianRationalField,
-    PrimeField,
-    RationalField,
-    TooLargeError,
-)
+from .scalars import Field, PrimeField, TooLargeError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -30,11 +22,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 EXHAUSTIVE_CELL_CAP = 1 << 20
 
 GRAM_TRIES = 100  # singular Gram matrices random_projection redraws
-
-# Random rational and Gaussian-rational entries are small integers so
-# the Gram inversions keep intermediate fractions desk-sized.
-ENTRY_LO = -3
-ENTRY_HI = 3
 
 
 class GenerationFailedError(RuntimeError):
@@ -104,21 +91,8 @@ class TrialSpec:
     trial: int
 
 
-def sample_entry(field: Field, rng: SplitMix64):
-    if isinstance(field, RationalField):
-        return Fraction(rng.int_between(ENTRY_LO, ENTRY_HI))
-    if isinstance(field, GaussianRationalField):
-        return GaussianRational(
-            Fraction(rng.int_between(ENTRY_LO, ENTRY_HI)),
-            Fraction(rng.int_between(ENTRY_LO, ENTRY_HI)),
-        )
-    if isinstance(field, PrimeField):
-        return rng.below(field.p)
-    raise TypeError("unknown field")
-
-
 def random_matrix(field: Field, rows: int, cols: int, rng: SplitMix64) -> ExactMatrix:
-    return ExactMatrix(field, rows, cols, [sample_entry(field, rng) for _ in range(rows * cols)])
+    return ExactMatrix(field, rows, cols, [field.sample(rng) for _ in range(rows * cols)])
 
 
 def random_projection(ring: MatrixRing, rank: int, rng: SplitMix64) -> ExactMatrix:

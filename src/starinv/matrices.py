@@ -356,14 +356,9 @@ class MatrixRing:
     def ring_id(self) -> str:
         return self.field.ring_id
 
-    @property
-    def is_star_reducing(self) -> bool:
-        """Whether A* A = 0 forces A = 0 in this ring: whether the field has
-        no nonzero isotropic vector of length n (``Field.isotropic_vector``)."""
-        return self.non_star_reducing_witness() is None
-
     def non_star_reducing_witness(self) -> ExactMatrix | None:
-        """A nonzero matrix with A* A = 0, when the ring admits one."""
+        """A nonzero matrix with A* A = 0, when the ring admits one: one
+        column holding a nonzero isotropic vector (``Field.isotropic_vector``)."""
         vec = self.field.isotropic_vector(self.n)
         if vec is None:
             return None
@@ -380,16 +375,13 @@ class MatrixInverseEngine:
 
     @property
     def star_reducing(self) -> bool:
-        return self.ring.is_star_reducing
+        return self.ring.non_star_reducing_witness() is None
 
     def mp(self, x: ExactMatrix) -> ExactMatrix | None:
         return mp_inverse(x)
 
     def drazin(self, x: ExactMatrix) -> tuple[ExactMatrix, int]:
         return drazin_inverse(x)
-
-    def serialize(self, x: ExactMatrix) -> str:
-        return format_matrix(x)
 
 
 def format_matrix(matrix: ExactMatrix) -> str:
@@ -412,6 +404,14 @@ def format_matrix_inline(matrix: ExactMatrix) -> str:
 # and 0.9 s (Q mp) on a 2-core Xeon VM; an 80x80 QI mp took 4.0 s.
 MATRIX_FILE_CAP = 64
 
+# Longest matrix text parse_matrix reads, in characters (bytes, as a
+# well-formed file is ASCII): entry length bounds the work as much as the
+# size does.  parse_matrix plus mp_inverse on seeded random Q files took
+# 11.3 s at 16x16 with 400-digit entries (103 kB), 34.7 s at 64x64 with
+# 20-digit ones (88 kB) and 4.6 s with 6-digit ones (31 kB); a 64x64 QI
+# file of 1-digit entries (20 kB) took 2.0 s (2-core Xeon VM).
+MATRIX_FILE_BYTES = 1 << 15
+
 
 def parse_matrix(text: str) -> ExactMatrix:
     """Parse the text exchange format.
@@ -420,9 +420,12 @@ def parse_matrix(text: str) -> ExactMatrix:
     ``rows <m>`` and ``cols <n>``, each at most ``MATRIX_FILE_CAP`` and
     checked before any entry is read, then m lines of n whitespace
     separated entries.  Numbers are ASCII decimal, and a modulus has no
-    sign or leading zero.  Blank lines are ignored.  Malformed input
-    raises MatrixParseError with the offending line and entry.
+    sign or leading zero.  Blank lines are ignored.  Malformed input,
+    or text longer than ``MATRIX_FILE_BYTES`` (refused before any line
+    is read), raises MatrixParseError with the offending line and entry.
     """
+    if len(text) > MATRIX_FILE_BYTES:
+        raise MatrixParseError(f"matrix text exceeds the {MATRIX_FILE_BYTES}-byte cap")
     numbered = [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())]
     lines = [(no, line) for no, line in numbered if line]
     if len(lines) < 3:

@@ -36,8 +36,6 @@ class InverseEngine(Protocol):
 
     def drazin(self, x): ...
 
-    def serialize(self, x) -> str: ...
-
 
 _MISSING = object()
 
@@ -76,9 +74,6 @@ class CachingEngine:
 
     def drazin(self, x):
         return self._answer("drazin", self.engine.drazin, x)
-
-    def serialize(self, x) -> str:
-        return self.engine.serialize(x)
 
     def clear(self) -> None:
         for memo in self._memo.values():

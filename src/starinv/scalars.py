@@ -5,8 +5,8 @@ named: ``field_named`` reads a field's ring id (``q``, ``qi``,
 ``gf:<p>``; ``campaign.ring_instance`` reads every ring id) or a
 matrix-file header (``Q``, ``QI``, ``GF <p>``).  A field is data, its
 names, size, unit elements, isotropic vectors and the parsing,
-formatting and coercion of its scalars; the arithmetic runs in
-``starinv.kernels`` on whole matrices.
+formatting, coercion and random drawing of its scalars; the arithmetic
+runs in ``starinv.kernels`` on whole matrices.
 
 Every value is kept in a canonical form so equality is structural:
 ``Fraction`` is always reduced with a positive denominator,
@@ -28,6 +28,11 @@ _MODULUS_TOKEN = re.compile(r"[1-9][0-9]*")
 # Largest accepted GF(p) modulus.  Primality is decided by trial
 # division, which stays desk-sized below this.
 MODULUS_CAP = 1 << 20
+
+# Random rational and Gaussian-rational entries are small integers so
+# the Gram inversions keep intermediate fractions desk-sized.
+ENTRY_LO = -3
+ENTRY_HI = 3
 
 
 class TooLargeError(ValueError):
@@ -81,7 +86,8 @@ def _gaussian(re: Fraction, im: Fraction) -> GaussianRational:
     """Trusted internal constructor: both parts must already be Fractions.
 
     Skips the public constructor's float check and re-wrapping, for
-    ``kernels.unpack``, whose parts are Fractions by construction.
+    ``kernels.unpack`` and ``sample``, whose parts are Fractions by
+    construction.
     """
     z = object.__new__(GaussianRational)
     object.__setattr__(z, "re", re)
@@ -94,29 +100,33 @@ class Field(ABC):
 
     ``label`` names the field in the matrix text format header and
     ``ring_id`` on the command line and in reports.  A field parses,
-    formats and coerces its scalars; the arithmetic on them runs in
-    ``starinv.kernels``, on whole matrices.
+    formats, coerces and draws its scalars; the arithmetic on them runs
+    in ``starinv.kernels``, on whole matrices.
     """
 
     label: str
     ring_id: str
 
-    @abstractmethod
-    def zero(self): ...
+    def zero(self):
+        return self.coerce(0)
 
-    @abstractmethod
-    def one(self): ...
+    def one(self):
+        return self.coerce(1)
 
     @abstractmethod
     def parse(self, token: str):
         """Parse one entry token; raises ValueError on malformed input."""
 
-    @abstractmethod
-    def format(self, a) -> str: ...
+    def format(self, a) -> str:
+        return str(a)
 
     @abstractmethod
     def coerce(self, value):
         """Canonicalize a user-supplied value; floats are rejected."""
+
+    @abstractmethod
+    def sample(self, rng):
+        """One random scalar drawn from ``rng`` (``generators.SplitMix64``)."""
 
     @property
     def size(self) -> int | None:
@@ -133,34 +143,22 @@ class RationalField(Field):
     label: str = "Q"
     ring_id: str = "q"
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
     def parse(self, token: str) -> Fraction:
         return parse_rational(token)
-
-    def format(self, a) -> str:
-        return str(a)
 
     def coerce(self, value) -> Fraction:
         if isinstance(value, float):
             raise TypeError("floats are not exact; use Fraction")
         return Fraction(value)
 
+    def sample(self, rng) -> Fraction:
+        return Fraction(rng.int_between(ENTRY_LO, ENTRY_HI))
+
 
 @dataclass(frozen=True)
 class GaussianRationalField(Field):
     label: str = "QI"
     ring_id: str = "qi"
-
-    def zero(self) -> GaussianRational:
-        return _gaussian(Fraction(0), Fraction(0))
-
-    def one(self) -> GaussianRational:
-        return _gaussian(Fraction(1), Fraction(0))
 
     def parse(self, token: str) -> GaussianRational:
         parts = token.split(",")
@@ -180,6 +178,9 @@ class GaussianRationalField(Field):
             raise TypeError("floats are not exact; use Fraction")
         return GaussianRational(Fraction(value), Fraction(0))
 
+    def sample(self, rng) -> GaussianRational:
+        return _gaussian(QQ.sample(rng), QQ.sample(rng))  # real part drawn first
+
 
 @dataclass(frozen=True)
 class PrimeField(Field):
@@ -195,12 +196,6 @@ class PrimeField(Field):
         object.__setattr__(self, "label", f"GF {self.p}")
         object.__setattr__(self, "ring_id", f"gf:{self.p}")
 
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1 % self.p
-
     def parse(self, token: str) -> int:
         if not _RESIDUE_TOKEN.fullmatch(token):
             raise ValueError(f"not a GF({self.p}) literal: {token!r}")
@@ -209,15 +204,15 @@ class PrimeField(Field):
             raise ValueError(f"value {value} out of range for GF({self.p})")
         return value
 
-    def format(self, a) -> str:
-        return str(a)
-
     def coerce(self, value) -> int:
         if not isinstance(value, int):
             raise TypeError(f"GF({self.p}) values are ints, got {type(value).__name__}")
         if not 0 <= value < self.p:
             raise ValueError(f"value {value} out of range for GF({self.p})")
         return value
+
+    def sample(self, rng) -> int:
+        return rng.below(self.p)
 
     def elements(self) -> range:
         return range(self.p)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,26 @@ def test_inverse_refuses_a_matrix_past_the_file_cap(tmp_path, capsys, monkeypatc
     code, out, err = run_cli(capsys, "inverse", "--kind", "mp", "--in", str(path))
     assert code == 2 and out == ""
     assert "rows 65 exceeds the 64 cap" in err
+
+
+def test_inverse_refuses_long_entries_at_the_byte_cap(tmp_path, capsys, monkeypatch):
+    # 1 MB: 16 x 16 entries of 4,000 digits, well inside the size cap
+    monkeypatch.setattr(cli, "mp_inverse", _unreachable)
+    row = " ".join(["7" * 4000] * 16)
+    path = write_matrix(tmp_path, "ring Q\nrows 16\ncols 16\n" + f"{row}\n" * 16)
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, "inverse", "--kind", "mp", "--in", path)
+    assert time.monotonic() - started < 1.0
+    assert code == 2 and out == ""
+    assert f"exceeds the {matrices.MATRIX_FILE_BYTES}-byte cap" in err
+
+
+def test_inverse_refuses_undecodable_text(tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"ring Q\nrows 1\ncols 1\n\xff\n")
+    code, out, err = run_cli(capsys, "inverse", "--kind", "mp", "--in", str(path))
+    assert code == 2 and out == ""
+    assert "cannot read" in err
 
 
 def test_inverse_missing_file(capsys):

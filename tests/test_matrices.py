@@ -16,6 +16,7 @@ import pytest
 import scalar_oracle as oracle
 
 from starinv import matrices, scalars
+from starinv.campaign import ring_instance
 from starinv.generators import SplitMix64, random_matrix
 from starinv.matrices import (
     ExactMatrix,
@@ -776,13 +777,17 @@ def test_isotropic_vector_needs_no_square_table():
         assert vec is not None and sum(x * x for x in vec) % p == 0
 
 
+def star_reducing(field, n):
+    return MatrixInverseEngine(MatrixRing(field, n)).star_reducing
+
+
 def test_matrix_ring_star_reducing_flags():
-    assert MatrixRing(QQ, 3).is_star_reducing
-    assert MatrixRing(QI, 3).is_star_reducing
-    assert not MatrixRing(GF2, 2).is_star_reducing
-    assert MatrixRing(GF3, 2).is_star_reducing
-    assert not MatrixRing(GF3, 3).is_star_reducing
-    assert not MatrixRing(PrimeField(5), 2).is_star_reducing
+    assert star_reducing(QQ, 3)
+    assert star_reducing(QI, 3)
+    assert not star_reducing(GF2, 2)
+    assert star_reducing(GF3, 2)
+    assert not star_reducing(GF3, 3)
+    assert not star_reducing(PrimeField(5), 2)
 
 
 def test_non_star_reducing_witness_matrix():
@@ -814,7 +819,8 @@ def test_star_reducing_flag_matches_a_scan():
     cases += [(p, 1) for p in (2, 3, 5, 7, 11, 13)]
     for p, n in cases:
         ring = MatrixRing(PrimeField(p), n)
-        assert ring.is_star_reducing == (scan_for_isotropic_matrix(p, n) is None), (p, n)
+        flag = MatrixInverseEngine(ring).star_reducing
+        assert flag == (scan_for_isotropic_matrix(p, n) is None), (p, n)
         witness = ring.non_star_reducing_witness()
         if witness is not None:
             assert not witness.is_zero() and (witness.star() * witness).is_zero(), (p, n)
@@ -833,7 +839,7 @@ def test_matrix_engine_surface():
     assert engine.mp(a) == qmat([[2, 0], [0, 0]])
     witness, k = engine.drazin(a)
     assert k == 1 and witness == qmat([[2, 0], [0, 0]])
-    assert "ring Q" in engine.serialize(a)
+    assert "ring Q" in ring_instance("q", 2).serialize(a)
 
 
 # ------------------------------------------------------------- text format
@@ -884,6 +890,17 @@ def test_parse_matrix_caps_the_declared_size():
         with pytest.raises(MatrixParseError, match="exceeds the 64 cap") as info:
             parse_matrix(f"ring QI\nrows {rows}\ncols {cols}\nx\n")
         assert info.value.line == line
+
+
+def test_parse_matrix_caps_the_text_length():
+    cap = matrices.MATRIX_FILE_BYTES
+    assert cap == 1 << 15
+    head = "ring Q\nrows 1\ncols 1\n1\n"
+    assert parse_matrix(head + "\n" * (cap - len(head))).entries == (1,)
+    # refused before any line is read, so no line is named
+    with pytest.raises(MatrixParseError, match=f"exceeds the {cap}-byte cap") as info:
+        parse_matrix(head + "\n" * (cap - len(head) + 1))
+    assert info.value.line is None
 
 
 def test_parse_matrix_checks_modulus_cap_before_primality(monkeypatch):

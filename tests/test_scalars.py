@@ -5,7 +5,10 @@ import scalar_oracle as oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
+from starinv.generators import SplitMix64
 from starinv.scalars import (
+    ENTRY_HI,
+    ENTRY_LO,
     QI,
     QQ,
     GaussianRational,
@@ -128,6 +131,23 @@ def test_field_labels():
     assert (QQ.ring_id, QI.ring_id, PrimeField(7).ring_id) == ("q", "qi", "gf:7")
     assert PrimeField(7).size == 7
     assert QQ.size is None
+
+
+def test_field_units_and_formats():
+    assert (QQ.zero(), QQ.one()) == (Fraction(0), Fraction(1))
+    assert (QI.zero(), QI.one()) == (GaussianRational(0, 0), GaussianRational(1, 0))
+    for p in (2, 3, 7):
+        assert (PrimeField(p).zero(), PrimeField(p).one()) == (0, 1)
+    assert (QQ.format(Fraction(-2, 3)), PrimeField(7).format(5)) == ("-2/3", "5")
+    assert QI.format(GaussianRational(Fraction(1, 2), -3)) == "1/2,-3"
+
+
+def test_field_samples_draw_from_the_stream():
+    draws = SplitMix64(5)
+    parts = [Fraction(draws.int_between(ENTRY_LO, ENTRY_HI)) for _ in range(2)]
+    assert QQ.sample(SplitMix64(5)) == parts[0]
+    assert QI.sample(SplitMix64(5)) == GaussianRational(*parts)  # real part first
+    assert PrimeField(7).sample(SplitMix64(5)) == SplitMix64(5).below(7)
 
 
 def test_coercion_canonicalizes_and_rejects_floats():

@@ -93,14 +93,14 @@ def test_failing_orbit_members_carry_their_own_pair(monkeypatch):
 
     projections = all_projections_matrix(3, field)
     m = len(projections)
-    engine = MatrixInverseEngine(MatrixRing(field, 3))
+    serialize = campaign.ring_instance(config.ring, 3).serialize
     failures = reduced.failures()
     assert len(failures) == m * sum(rank(e) == 1 for e in projections) > 0
     for record in failures:
         assert record.failing_checks == ("planted",)
         assert record.spec.trial == record.trial
-        assert record.p == engine.serialize(projections[record.trial // m])
-        assert record.q == engine.serialize(projections[record.trial % m])
+        assert record.p == serialize(projections[record.trial // m])
+        assert record.q == serialize(projections[record.trial % m])
     assert reduced.exit_code == 1
 
 

@@ -551,9 +551,6 @@ class _LyingEngine:
     def drazin(self, x):
         return self.inner.drazin(x)
 
-    def serialize(self, x):
-        return self.inner.serialize(x)
-
 
 def test_failed_verdict_names_its_failing_checks(canonical):
     liar = _LyingEngine(ENGINE2)
